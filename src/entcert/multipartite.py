@@ -11,25 +11,31 @@ into a small effective local operator whose top eigenvector is the exact
 single-site optimum.  Sweeping that update cyclically over the sites -
 separability power iteration - ascends monotonically and converges to a
 (local) maximum; a multistart over local basis eigenvectors plus random
-product states is used to escape poor basins.  No global-optimality claim
-is attached to the outcome; results carry restart counts and convergence
-flags instead.
+product states is used to escape poor basins.  All starts of one search
+advance in lockstep: the terms are stacked once per observable, each
+site update is one batched eigensolve over the ``(S, d, d)`` effective
+operators of the S starts still active, and a start leaves the active set
+at its first sweep that gains less than the tolerance.  No
+global-optimality claim is attached to the outcome; results carry restart
+counts and convergence flags instead.
 
 k-separable relaxations reuse the same iteration with sites grouped into
 blocks: a block behaves as a single site of the product dimension and its
 update takes the top eigenvector of the block-reduced operator.
 
 ``ne_multipartite`` turns lambda_max into a certification statement: over
-coefficient vectors c it maximizes |sum_k c_k e_k| / lambda_max(sum_k c_k
-O_k) for measured estimates e_k.  The outer problem is non-convex; the
-implementation alternates a closed-form coefficient step against the
-current optimizer state with full re-evaluations, multistarted from
-several coefficient initializations, and reports the best local optimum
-found.  Values above 1 are incompatible with fully separable states.
+coefficient vectors c, oriented so that sum_k c_k e_k >= 0, it maximizes
+sum_k c_k e_k / lambda_max(sum_k c_k O_k) for measured estimates e_k.  The
+outer problem is non-convex; the implementation alternates a closed-form
+coefficient step against the current optimizer state with full
+re-evaluations, multistarted from several coefficient initializations,
+and reports the best local optimum found.  Values above 1 are
+incompatible with fully separable states.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -37,7 +43,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import smallmat
 from .qmodel import PAULI, gell_mann_basis
 from .witness import ne_verdict
 
@@ -80,6 +85,12 @@ class ObservableSum:
             raise ValueError("observable needs at least two parties")
         self.terms: tuple[tuple[float, tuple[np.ndarray, ...]], ...] = tuple(parsed)
         self.dims: tuple[int, ...] = dims
+        # The same terms stacked for the sweep: coefficients (T,) and one
+        # factor stack (T, d, d) per site.
+        self.coefficients = np.array([c for c, _ in parsed])
+        self.factor_stacks: tuple[np.ndarray, ...] = tuple(
+            np.stack([ops[s] for _, ops in parsed]) for s in range(len(dims))
+        )
 
     @property
     def parties(self) -> int:
@@ -183,22 +194,30 @@ class SPIResult:
     converged: bool
 
 
-def _site_eigenvectors(d: int) -> list[np.ndarray]:
-    vecs = []
+@functools.lru_cache(maxsize=None)
+def _site_eigenvectors(d: int) -> np.ndarray:
+    """Eigenvectors of the non-identity Gell-Mann operators, one per row.
+
+    Each operator contributes its eigenvectors by descending eigenvalue.
+    Shared per ``d`` and read-only.
+    """
+    rows = []
     for op in gell_mann_basis(d).operators[1:]:
-        _, v = smallmat.hermitian_eig(op)
-        vecs.extend(v[:, k] for k in range(d))
+        _, v = np.linalg.eigh(op)
+        rows.extend(v[:, ::-1].T)
+    vecs = np.array(rows)
+    vecs.flags.writeable = False
     return vecs
 
 
-def _eigen_starts(dims: tuple[int, ...], cap: int) -> list[list[np.ndarray]]:
+def _eigen_starts(dims: tuple[int, ...], cap: int) -> list[np.ndarray]:
+    """Combinations of local eigenvectors, one ``(S, d)`` array per site."""
     per_site = [_site_eigenvectors(d) for d in dims]
-    starts = []
-    for combo in itertools.product(*per_site):
-        starts.append(list(combo))
-        if len(starts) >= cap:
-            break
-    return starts
+    combos = list(itertools.islice(
+        itertools.product(*(range(len(v)) for v in per_site)), cap
+    ))
+    index = np.array(combos, dtype=int).reshape(len(combos), len(dims))
+    return [v[index[:, s]] for s, v in enumerate(per_site)]
 
 
 def _random_start(dims: tuple[int, ...], rng: np.random.Generator) -> list[np.ndarray]:
@@ -209,46 +228,133 @@ def _random_start(dims: tuple[int, ...], rng: np.random.Generator) -> list[np.nd
     return vecs
 
 
-def _effective_operator(
-    obs: ObservableSum, vectors: list[np.ndarray], site: int
+def _starts(
+    dims: tuple[int, ...], opts: SPIOptions, initial: ProductState | None
+) -> list[np.ndarray]:
+    """The multistart of ``opts`` in order, one ``(S, d)`` array per site."""
+    rng = np.random.default_rng(opts.seed)
+    starts = _eigen_starts(dims, opts.max_eigen_starts)
+    if opts.restarts is None:
+        extra = opts.random_starts
+    else:
+        total = max(1, opts.restarts)
+        starts = [v[:total] for v in starts]
+        extra = total - starts[0].shape[0]
+    rows = [_random_start(dims, rng) for _ in range(extra)]
+    if initial is not None:
+        rows.append(list(initial.vectors))
+    if rows:
+        starts = [
+            np.concatenate([v, np.array([r[s] for r in rows])])
+            for s, v in enumerate(starts)
+        ]
+    return starts
+
+
+def _site_expectations(factors: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """<v|o_t|v> for each term's factor ``(T, d, d)``; ``vecs`` is ``(..., d)``."""
+    return np.einsum("...i,tij,...j->...t", vecs.conj(), factors, vecs).real
+
+
+def _site_operator(
+    coeffs: np.ndarray,
+    factors: np.ndarray,
+    expectations: Sequence[np.ndarray],
+    site: int,
 ) -> np.ndarray:
-    d = obs.dims[site]
-    eff = np.zeros((d, d), dtype=complex)
-    for coeff, factors in obs.terms:
-        weight = coeff
-        for s, (op, vec) in enumerate(zip(factors, vectors)):
-            if s != site:
-                weight *= float((vec.conj() @ op @ vec).real)
-        eff += weight * factors[site]
-    return eff
+    """sum_t c_t prod_{s != site} e_{s,t} o_{site,t} from held expectations."""
+    weights = coeffs
+    for s, e in enumerate(expectations):
+        if s != site:
+            weights = weights * e
+    return np.einsum("...t,tij->...ij", weights, factors)
+
+
+def _effective_operator(
+    obs: ObservableSum, vectors: Sequence[np.ndarray], site: int
+) -> np.ndarray:
+    """Effective operator at ``site``; vectors may carry a leading start axis."""
+    expectations = [
+        _site_expectations(f, np.asarray(v)) for f, v in zip(obs.factor_stacks, vectors)
+    ]
+    return _site_operator(
+        obs.coefficients, obs.factor_stacks[site], expectations, site
+    )
 
 
 def _top_eigenvector(eff: np.ndarray, current: np.ndarray) -> np.ndarray:
-    vals, vecs = smallmat.hermitian_eig(eff)
-    scale = max(1.0, abs(vals[0]))
-    best, best_overlap = 0, -1.0
-    for k in range(len(vals)):
-        if vals[0] - vals[k] > _DEGENERACY_TOL * scale:
-            break
-        overlap = abs(complex(current.conj() @ vecs[:, k]))
-        if overlap > best_overlap:
-            best, best_overlap = k, overlap
-    return vecs[:, best]
+    """Top eigenvector of ``(..., d, d)``; ties go to the largest overlap.
+
+    Eigenvalues within ``_DEGENERACY_TOL`` (relative, floored at 1) of the
+    top one count as tied, and the first of them in descending order that
+    overlaps most with ``current`` wins.
+    """
+    vals, vecs = np.linalg.eigh(eff)
+    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
+    top = vals[..., :1]
+    tied = top - vals <= _DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
+    overlap = np.abs(np.einsum("...i,...ik->...k", current.conj(), vecs))
+    best = np.where(tied, overlap, -1.0).argmax(axis=-1)
+    return np.take_along_axis(vecs, best[..., None, None], axis=-1)[..., 0]
 
 
-def _sweep_to_convergence(
-    obs: ObservableSum, vectors: list[np.ndarray], opts: SPIOptions
-) -> tuple[float, list[np.ndarray], bool]:
-    value = obs.expectation(ProductState(vectors))
+def _term_values(coeffs: np.ndarray, expectations: Sequence[np.ndarray]) -> np.ndarray:
+    products = coeffs
+    for e in expectations:
+        products = products * e
+    return products.sum(axis=-1)
+
+
+def _require_unit(vectors: Sequence[np.ndarray]) -> None:
+    for v in vectors:
+        if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > _UNIT_TOL):
+            raise ValueError("product-state factors must be unit vectors")
+
+
+def _lockstep_sweeps(
+    obs: ObservableSum, vectors: Sequence[np.ndarray], opts: SPIOptions
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Sweep every start to convergence at once.
+
+    ``vectors`` holds one ``(S, d)`` array per site.  A start leaves the
+    active set at the first sweep that gains less than ``opts.tol``; the
+    rest advance together through one stacked eigensolve per site.
+    Returns the final values, vectors and convergence flags per start.
+    """
+    coeffs, stacks = obs.coefficients, obs.factor_stacks
+    count = vectors[0].shape[0]
+    values = np.empty(count)
+    converged = np.zeros(count, dtype=bool)
+    out = [v.copy() for v in vectors]
+    live = np.arange(count)
+    vectors = list(vectors)
+    _require_unit(vectors)
+    expectations = [_site_expectations(f, v) for f, v in zip(stacks, vectors)]
+    value = _term_values(coeffs, expectations)
     for _ in range(opts.max_sweeps):
         for site in range(obs.parties):
-            eff = _effective_operator(obs, vectors, site)
+            eff = _site_operator(coeffs, stacks[site], expectations, site)
             vectors[site] = _top_eigenvector(eff, vectors[site])
-        new_value = obs.expectation(ProductState(vectors))
-        if new_value - value < opts.tol:
-            return new_value, vectors, True
-        value = new_value
-    return value, vectors, False
+            expectations[site] = _site_expectations(stacks[site], vectors[site])
+        _require_unit(vectors)
+        new_value = _term_values(coeffs, expectations)
+        done = new_value - value < opts.tol
+        rows = live[done]
+        for v, o in zip(vectors, out):
+            o[rows] = v[done]
+        values[rows] = new_value[done]
+        converged[rows] = True
+        keep = ~done
+        live, value = live[keep], new_value[keep]
+        if live.size == 0:
+            break
+        vectors = [v[keep] for v in vectors]
+        expectations = [e[keep] for e in expectations]
+    else:
+        for v, o in zip(vectors, out):
+            o[live] = v
+        values[live] = value
+    return values, out, converged
 
 
 def spi_lambda_max(
@@ -260,39 +366,20 @@ def spi_lambda_max(
 
     Each sweep updates one site at a time to the top eigenvector of its
     effective operator (ties resolved toward the current vector), which
-    never decreases the objective.  ``initial`` adds one extra start, e.g.
-    to warm-start from a previous optimizer.
+    never decreases the objective.  All starts advance in lockstep, each
+    stopping at its own first sweep that gains less than ``opts.tol``; the
+    first start reaching the best value is reported.  ``initial`` adds one
+    extra start, e.g. to warm-start from a previous optimizer.
     """
     opts = opts or SPIOptions()
-    rng = np.random.default_rng(opts.seed)
-    starts = _eigen_starts(obs.dims, opts.max_eigen_starts)
-    if opts.restarts is None:
-        starts.extend(
-            _random_start(obs.dims, rng) for _ in range(opts.random_starts)
-        )
-    else:
-        total = max(1, opts.restarts)
-        starts = starts[:total]
-        while len(starts) < total:
-            starts.append(_random_start(obs.dims, rng))
-    if initial is not None:
-        starts.append([v.copy() for v in initial.vectors])
-
-    best_value = -math.inf
-    best_vectors: list[np.ndarray] | None = None
-    best_converged = False
-    for start in starts:
-        value, vectors, converged = _sweep_to_convergence(obs, list(start), opts)
-        if value > best_value:
-            best_value = value
-            best_vectors = vectors
-            best_converged = converged
-    assert best_vectors is not None
+    starts = _starts(obs.dims, opts, initial)
+    values, vectors, converged = _lockstep_sweeps(obs, starts, opts)
+    best = int(np.argmax(values))
     return SPIResult(
-        lambda_max=best_value,
-        optimizer=ProductState(best_vectors),
-        restarts_used=len(starts),
-        converged=best_converged,
+        lambda_max=float(values[best]),
+        optimizer=ProductState([v[best] for v in vectors]),
+        restarts_used=len(values),
+        converged=bool(converged[best]),
     )
 
 
@@ -353,9 +440,13 @@ def ne_multipartite(
     estimates: Sequence[float],
     options: NEMultipartiteOptions | None = None,
 ) -> MultipartiteNEResult:
-    """Maximize |sum c_k e_k| / lambda_max(sum c_k O_k) over coefficients.
+    """Maximize sum c_k e_k / lambda_max(sum c_k O_k) over coefficients.
 
     ``obs_support`` are Pauli strings, ``estimates`` their measured values.
+    Every coefficient vector is oriented so that sum c_k e_k >= 0 before it
+    is evaluated: only then does lambda_max bound the numerator on
+    separable data.  A start or proposal whose lambda_max vanishes under
+    the inner ``opts.spi`` is skipped.
     Alternation: at the current coefficients, SPI yields a product state
     psi; against psi the objective is a linear/linear ratio whose ascent
     direction has the closed form e - F * o(psi), which proposes the next
@@ -383,18 +474,26 @@ def ne_multipartite(
         starts.append(v / np.linalg.norm(v))
     starts = starts[: opts.starts]
 
+    def oriented(c: np.ndarray) -> np.ndarray:
+        # sum c_k e_k <= lambda_max(sum c_k O_k) bounds separable data only
+        # when the left side is the nonnegative one, so flip c to make it so.
+        return -c if float(c @ est) < 0 else c
+
     def objective(c: np.ndarray, warm: ProductState | None):
         res = spi_lambda_max(_string_observable(labels, c), opts.spi, initial=warm)
         lam = res.lambda_max
         if lam <= 1e-12:
             return -math.inf, res
-        return abs(float(c @ est)) / lam, res
+        return float(c @ est) / lam, res
 
-    best_f = -math.inf
-    best_c: np.ndarray | None = None
+    # If the inner searches collapse at every start, the first start is
+    # still judged by the full multistart below.
+    best_f, best_c = -math.inf, oriented(starts[0])
     for c0 in starts:
-        c = c0.copy()
+        c = oriented(c0)
         f, res = objective(c, None)
+        if not math.isfinite(f):
+            continue
         for _ in range(opts.max_rounds):
             state = res.optimizer
             site_values = np.array(
@@ -403,25 +502,23 @@ def ne_multipartite(
                     for lab in labels
                 ]
             )
-            orient = math.copysign(1.0, float(c @ est)) if float(c @ est) != 0 else 1.0
-            direction = orient * est - f * site_values
+            direction = est - f * site_values
             dn = float(np.linalg.norm(direction))
             if dn == 0.0:
                 break
-            proposal = direction / dn
+            proposal = oriented(direction / dn)
             f_new, res_new = objective(proposal, state)
             if f_new <= f + 1e-12:
                 break
             c, f, res = proposal, f_new, res_new
         if f > best_f:
             best_f, best_c = f, c
-    assert best_c is not None
 
     final = spi_lambda_max(_string_observable(labels, best_c))
     lam = final.lambda_max
     if lam <= 1e-12:
         raise RuntimeError("normalization collapsed: lambda_max ~ 0 at the optimum")
-    value = abs(float(best_c @ est)) / lam
+    value = float(best_c @ est) / lam
     return MultipartiteNEResult(
         value=value,
         labels=labels,

@@ -9,7 +9,8 @@ import scipy.optimize
 from entcert import multipartite as mp
 from entcert import smallmat, solver
 from entcert.grids import CorrelatorGrid, MeasurementSet
-from entcert.qmodel import PAULI
+from entcert.qmodel import PAULI, gell_mann_basis
+from entcert.witness import DETECTION_TOL
 
 AXIS = {"X": 0, "Y": 1, "Z": 2}
 
@@ -264,3 +265,132 @@ def test_ne_input_validation():
         mp.ne_multipartite(["XX", "ZZ"], [1.0])
     with pytest.raises(ValueError, match="empty"):
         mp.ne_multipartite([], [])
+
+
+def test_top_eigenvector_ties_go_to_the_largest_overlap():
+    tied = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    clear = np.diag([2.0, 1.0, 0.0]).astype(complex)
+    effs = np.array([tied, tied, clear])
+    currents = np.array([[0.6, 0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
+    expected = [1, 0, 0]
+    batched = mp._top_eigenvector(effs, currents)
+    for eff, current, k, row in zip(effs, currents, expected, batched):
+        single = mp._top_eigenvector(eff, current)
+        assert np.allclose(row, single, atol=1e-15)
+        assert np.allclose(np.abs(single), np.eye(3)[k], atol=1e-12)
+
+
+def _reference_sweep(obs, vectors, opts):
+    """One start at a time, unbatched: the sweep as a plain loop."""
+    vectors = list(vectors)
+    value = obs.expectation(mp.ProductState(vectors))
+    for _ in range(opts.max_sweeps):
+        for site in range(obs.parties):
+            eff = mp._effective_operator(obs, vectors, site)
+            vectors[site] = mp._top_eigenvector(eff, vectors[site])
+        new_value = obs.expectation(mp.ProductState(vectors))
+        if new_value - value < opts.tol:
+            return new_value, True
+        value = new_value
+    return value, False
+
+
+def _random_local_observable(rng, ops_per_site, parties, terms=4):
+    out = []
+    for _ in range(terms):
+        factors = [ops_per_site[int(rng.integers(len(ops_per_site)))] for _ in range(parties)]
+        out.append((float(rng.uniform(-1, 1)), factors))
+    return mp.ObservableSum(out)
+
+
+def _lockstep_cases():
+    rng = np.random.default_rng(61)
+    paulis = [PAULI[ch] for ch in "IXYZ"]
+    cases = [(f"qubits{k}", _random_local_observable(rng, paulis, 3)) for k in range(3)]
+    cases.append(("qutrits", _random_local_observable(rng, gell_mann_basis(3).operators, 2)))
+    cases.append(("blocked", _random_local_observable(rng, paulis, 3).blocked([[0, 1], [2]])))
+    return cases
+
+
+@pytest.mark.parametrize("name, obs", _lockstep_cases())
+def test_lockstep_sweep_equals_one_start_at_a_time(name, obs):
+    """Batching the starts changes no start's value or convergence flag."""
+    opts = mp.SPIOptions()
+    starts = mp._starts(obs.dims, opts, None)
+    values, vectors, converged = mp._lockstep_sweeps(obs, starts, opts)
+    assert len(values) == 224
+    for site in range(obs.parties):
+        batched = mp._effective_operator(obs, starts, site)
+        for i in (0, 100, 223):
+            single = mp._effective_operator(obs, [v[i] for v in starts], site)
+            assert np.allclose(batched[i], single, rtol=0, atol=1e-14)
+    for i in range(len(values)):
+        one_values, _, one_converged = mp._lockstep_sweeps(obs, [v[i:i + 1] for v in starts], opts)
+        assert abs(one_values[0] - values[i]) <= 1e-12
+        assert one_converged[0] == converged[i]
+        ref_value, ref_converged = _reference_sweep(obs, [v[i] for v in starts], opts)
+        assert abs(ref_value - values[i]) <= 1e-12
+        assert ref_converged == converged[i]
+        state = mp.ProductState([v[i] for v in vectors])
+        assert obs.expectation(state) == pytest.approx(values[i], abs=1e-12)
+    res = mp.spi_lambda_max(obs)
+    assert res.restarts_used == 224
+    assert res.lambda_max == values.max()
+    assert res.converged == converged[int(np.argmax(values))]
+
+
+def test_ne_product_state_is_not_certified():
+    # exact correlators of |000>; c = -(1,1,1) once gave 3 / lambda_max(-O) = 2.7
+    res = mp.ne_multipartite(["ZII", "IZI", "ZZI"], [1.0, 1.0, 1.0])
+    assert res.value <= 1.0 + DETECTION_TOL
+    assert res.verdict == "undetected"
+    assert float(np.dot(res.coefficients, [1.0, 1.0, 1.0])) >= 0.0
+
+
+def test_ne_skips_starts_whose_inner_search_collapses():
+    # the capped inner search returns lambda_max 0 for the single-term starts
+    res = mp.ne_multipartite(["XXX", "XYY", "YXY", "YYX"], [1.0, -1.0, -1.0, -1.0])
+    assert math.isfinite(res.value)
+    assert res.verdict == "entangled"
+    # every start collapses here; the first is still judged by the full search
+    res = mp.ne_multipartite(["XZX", "YYI"], [-0.0064133, 0.4244311])
+    assert math.isfinite(res.value)
+    assert res.value <= 1.0 + DETECTION_TOL
+    assert res.verdict == "undetected"
+
+
+def _product_mixture_correlators(rng, words):
+    """Exact correlators of a random mixture of 3-qubit product states."""
+    comps = int(rng.integers(1, 4))
+    weights = rng.dirichlet(np.ones(comps))
+    rho = np.zeros((8, 8), dtype=complex)
+    for p in weights:
+        state = np.array([[1.0]], dtype=complex)
+        for _ in range(3):
+            r = rng.standard_normal(3)
+            r *= rng.uniform(0.0, 1.0) ** (1 / 3) / np.linalg.norm(r)
+            local = 0.5 * (PAULI["I"] + r[0] * PAULI["X"] + r[1] * PAULI["Y"] + r[2] * PAULI["Z"])
+            state = np.kron(state, local)
+        rho += p * state
+    out = []
+    for word in words:
+        op = np.array([[1.0]], dtype=complex)
+        for ch in word:
+            op = np.kron(op, PAULI[ch])
+        out.append(float(np.trace(rho @ op).real))
+    return out
+
+
+def test_ne_multipartite_never_flags_product_mixtures():
+    rng = np.random.default_rng(67)
+    for _ in range(100):
+        words: set[str] = set()
+        size = int(rng.integers(2, 6))
+        while len(words) < size:
+            word = "".join("IXYZ"[i] for i in rng.integers(0, 4, size=3))
+            if word != "III":
+                words.add(word)
+        support = sorted(words)
+        res = mp.ne_multipartite(support, _product_mixture_correlators(rng, support))
+        assert res.value <= 1.0 + DETECTION_TOL, (support, res.value)
+        assert res.verdict == "undetected"
