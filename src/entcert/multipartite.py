@@ -87,7 +87,7 @@ class ObservableSum:
         self.dims: tuple[int, ...] = dims
         # The same terms stacked for the sweep: coefficients (T,) and one
         # factor stack (T, d, d) per site.
-        self.coefficients = np.array([c for c, _ in parsed])
+        self.coefficients: np.ndarray = np.array([c for c, _ in parsed])
         self.factor_stacks: tuple[np.ndarray, ...] = tuple(
             np.stack([ops[s] for _, ops in parsed]) for s in range(len(dims))
         )
