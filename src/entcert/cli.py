@@ -18,6 +18,7 @@ the ENTCERT_TOL environment variable; explicit --tol flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -302,7 +303,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="entcert",
         description="Certify entanglement from sparse correlation data.",

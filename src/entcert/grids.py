@@ -18,6 +18,10 @@ JSON schema (qubits):
 JSON schema (any other dimensions):
     {"dims":[3,3],"correlators":{"0,4":0.5}}
 CSV: header ``a,b,value``, one correlator per row, UTF-8, LF line endings.
+    Qubit grids use axis labels (``X,Z,0.5``).  Any other grid uses basis
+    indices and must declare its dimensions in a ``# dims=3,3`` line before
+    the header; undeclared numeric-index CSV is rejected, because the
+    largest index present does not determine the dimensions.
 
 Values may exceed 1 in magnitude by a small experimental-noise headroom;
 anything beyond |value| = 1.05 is rejected on ingestion and construction.
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -40,6 +45,8 @@ _AXIS_INDEX = {"X": 0, "Y": 1, "Z": 2}
 VALUE_CAP = 1.05
 
 FORMATS = ("json", "csv")
+
+_DIMS_LINE = re.compile(r"^#\s*dims=(\d+),(\d+)$")
 
 
 def render_float(value: float) -> str:
@@ -263,8 +270,14 @@ def _parse_json(text: str) -> CorrelatorGrid:
 
 
 def _parse_csv(text: str) -> CorrelatorGrid:
-    lines = [line for line in text.split("\n") if line.strip()]
-    if not lines or lines[0].strip() != "a,b,value":
+    lines = [line.strip() for line in text.split("\n") if line.strip()]
+    declared = None
+    if lines and lines[0].startswith("#"):
+        m = _DIMS_LINE.match(lines.pop(0))
+        if not m:
+            raise ValueError("malformed CSV document: expected '# dims=dA,dB'")
+        declared = (int(m.group(1)), int(m.group(2)))
+    if not lines or lines[0] != "a,b,value":
         raise ValueError("malformed CSV document: expected header 'a,b,value'")
     rows = []
     for line in lines[1:]:
@@ -276,7 +289,6 @@ def _parse_csv(text: str) -> CorrelatorGrid:
         raise ValueError("no measured entries")
     qubit_labels = all(a in AXES and b in AXES for a, b, _ in rows)
     values: dict[tuple[int, int], float] = {}
-    indices: list[tuple[int, int]] = []
     for a, b, raw in rows:
         try:
             v = float(raw)
@@ -292,21 +304,20 @@ def _parse_csv(text: str) -> CorrelatorGrid:
         if pair in values:
             raise ValueError(f"duplicate key {a + b!r}")
         values[pair] = v
-        indices.append(pair)
     if qubit_labels:
+        if declared not in (None, (2, 2)):
+            raise ValueError(
+                f"axis labels name qubit entries, but dims={declared[0]},{declared[1]}"
+            )
         dims = (2, 2)
+    elif declared is None:
+        raise ValueError(
+            "numeric-index CSV must declare its local dimensions: "
+            "add a line '# dims=dA,dB' before the 'a,b,value' header"
+        )
     else:
-        side_a = max(i for i, _ in indices) + 1
-        side_b = max(j for _, j in indices) + 1
-        dims = (_dim_for(side_a), _dim_for(side_b))
+        dims = declared
     return CorrelatorGrid(dims, values)
-
-
-def _dim_for(basis_entries: int) -> int:
-    d = 2
-    while d * d - 1 < basis_entries:
-        d += 1
-    return d
 
 
 # -- emission ----------------------------------------------------------------
@@ -326,6 +337,8 @@ def emit_grid(grid: CorrelatorGrid, format: str = "json") -> bytes:
         return text.encode("utf-8")
     if format == "csv":
         lines = ["a,b,value"]
+        if grid.dims != (2, 2):
+            lines.insert(0, f"# dims={grid.dims[0]},{grid.dims[1]}")
         for i, j in grid.measured:
             if grid.dims == (2, 2):
                 a, b = AXES[i], AXES[j]

@@ -91,7 +91,7 @@ class CoefficientMatrix:
         return out
 
     def operator_norm(self) -> float:
-        return float(np.linalg.norm(self.dense(), 2))
+        return float(np.linalg.svd(self.dense(), compute_uv=False)[0])
 
     def scaled(self, factor: float) -> "CoefficientMatrix":
         return CoefficientMatrix(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entcert import solver
 from entcert.grids import (
     AXES,
     CorrelatorGrid,
@@ -89,6 +90,31 @@ def test_csv_header_required():
         parse_grid(b"X,X,0.5\n", format="csv")
 
 
+def test_qudit_csv_declares_dims_and_keeps_the_verdict():
+    g = CorrelatorGrid((3, 3), {(0, 0): 0.9, (1, 1): 0.9})
+    out = emit_grid(g, format="csv")
+    assert out == b"# dims=3,3\na,b,value\n0,0,0.9\n1,1,0.9\n"
+    again = parse_grid(out, format="csv")
+    assert again == g
+    before, after = solver.ne_solve(g), solver.ne_solve(again)
+    assert before.value == pytest.approx(0.9, abs=1e-8)
+    assert after.value == before.value
+    assert after.verdict == before.verdict == "undetected"
+
+
+def test_csv_numeric_indices_need_declared_dims():
+    with pytest.raises(ValueError, match="# dims=dA,dB"):
+        parse_grid(b"a,b,value\n0,0,0.9\n1,1,0.9\n", format="csv")
+    with pytest.raises(ValueError, match="dims"):
+        parse_grid(b"# dims=3\na,b,value\n0,0,0.9\n", format="csv")
+    with pytest.raises(ValueError, match="qubit"):
+        parse_grid(b"# dims=3,3\na,b,value\nX,X,0.9\n", format="csv")
+    with pytest.raises(ValueError, match="outside basis range"):
+        parse_grid(b"# dims=2,2\na,b,value\n3,0,0.9\n", format="csv")
+    declared = parse_grid(b"# dims=2,2\na,b,value\n0,2,0.5\n", format="csv")
+    assert declared == CorrelatorGrid.from_labels({"XZ": 0.5})
+
+
 def test_render_float_shortest_roundtrip():
     assert render_float(1.0) == "1"
     assert render_float(-0.0) == "0"
@@ -114,6 +140,29 @@ def test_roundtrip_fuzz_qubit(entries, fmt):
     again = parse_grid(emitted, format=fmt)
     assert again == g
     assert emit_grid(again, format=fmt) == emitted
+
+
+@st.composite
+def _qudit_grids(draw):
+    da, db = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    entries = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, da * da - 2), st.integers(0, db * db - 2)),
+            st.floats(min_value=-1.05, max_value=1.05, allow_nan=False),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return CorrelatorGrid((da, db), entries)
+
+
+@settings(max_examples=120, deadline=None)
+@given(g=_qudit_grids())
+def test_roundtrip_fuzz_qudit_csv(g):
+    emitted = emit_grid(g, format="csv")
+    again = parse_grid(emitted, format="csv")
+    assert again == g
+    assert emit_grid(again, format="csv") == emitted
 
 
 def test_roundtrip_random_qudit_grids():

@@ -39,6 +39,43 @@ def test_worked_example_matches_closed_form():
         assert sign * a == pytest.approx(b, abs=1e-4)
 
 
+def _count_factorizations(monkeypatch):
+    calls = [0]
+    original = solver._ActiveBlock.cholesky
+
+    def counted(self, c):
+        calls[0] += 1
+        return original(self, c)
+
+    monkeypatch.setattr(solver._ActiveBlock, "cholesky", counted)
+    return calls
+
+
+def test_worked_example_takes_few_damped_steps(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    got = solver.ne_solve(MAIN, MeasurementSet.parse("XX,XY,ZX"))
+    assert got.value == pytest.approx(1.3512657203864136, abs=1e-12)
+    assert got.iterations <= 25
+    # one factorization at the start, then one per accepted step
+    assert calls[0] == got.iterations + 1
+
+
+def test_every_damped_step_is_feasible_first_time(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        d = int(rng.integers(2, 4))
+        side = d * d - 1
+        cells = rng.choice(side * side, size=int(rng.integers(2, 10)), replace=False)
+        values = rng.uniform(-1.0, 1.0, size=len(cells))
+        g = CorrelatorGrid(
+            (d, d), {divmod(int(c), side): float(v) for c, v in zip(cells, values)}
+        )
+        calls[0] = 0
+        got = solver.ne_solve(g)
+        assert calls[0] == got.iterations + 1, sorted(g.values.items())
+
+
 def test_agrees_with_every_closed_form_class():
     rng = np.random.default_rng(5)
     reps = ["XX,XY", "XZ,YZ", "XX,ZZ", "ZX,ZY,ZZ", "XX,YY,ZZ", "XX,XZ,ZX",
