@@ -8,7 +8,9 @@ canonical envelope
 with sorted keys and no whitespace, so identical invocations produce
 byte-identical output.  Sweeps emit plot-ready CSV by default.  Exit codes
 follow the certification outcome: 0 when the data certify entanglement,
-1 when they do not, 2 on any input error.
+1 when they do not, 2 on any input error, 3 when the solver fails on
+valid input (iteration limit or stalled step).  A sweep over more than
+three correlators solves all of its angles as one stack.
 
 Angles are accepted as exact fractions of pi ('7pi/9', '-pi/2', 'pi') or
 as plain decimal radians.  The default solver tolerance can be set through
@@ -44,6 +46,7 @@ from .witness import VERDICT_ENTANGLED, evaluate_witness, witness_report
 EXIT_ENTANGLED = 0
 EXIT_UNDETECTED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_SOLVER_FAILURE = 3
 
 _PI_FORM = re.compile(r"^([+-]?)(\d+)?pi(?:/(\d+))?$")
 
@@ -268,16 +271,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "XX,XY,XZ,YX,YY,YZ,ZX,ZY,ZZ"
     )
     opts = _solver_options(args)
-    thetas = np.linspace(lo, hi, args.steps)
-    rows = []
-    for k, theta in enumerate(thetas):
-        seed = args.seed + k if args.seed is not None else None
-        grid = _family_grid(args.family, float(theta), args.noise, args.shots, seed)
-        if len(support) <= 3:
-            res = patterns.ne_closed_form(support, grid)
-        else:
-            res = solver.ne_solve(grid, support, opts)
-        rows.append((float(theta), res.value, res.verdict))
+    thetas = [float(theta) for theta in np.linspace(lo, hi, args.steps)]
+    grids = [
+        _family_grid(
+            args.family,
+            theta,
+            args.noise,
+            args.shots,
+            args.seed + k if args.seed is not None else None,
+        )
+        for k, theta in enumerate(thetas)
+    ]
+    if len(support) <= 3:
+        results = [patterns.ne_closed_form(support, grid) for grid in grids]
+    else:
+        results = solver.ne_solve_batch(grids, support, opts)
+    rows = [(theta, res.value, res.verdict) for theta, res in zip(thetas, results)]
     rows.sort(key=lambda r: r[0])
     config = (
         f"family={args.family};set={args.set or 'all'};from={render_float(lo)};"
@@ -374,6 +383,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except solver.SolverError as err:
+        print(f"error: solver failure: {err}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
     except (ValueError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR

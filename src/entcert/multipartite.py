@@ -48,6 +48,7 @@ from .witness import ne_verdict
 
 _UNIT_TOL = 1e-12
 _DEGENERACY_TOL = 1e-10
+_NEGLIGIBLE_PROJECTION = 1e-8
 
 
 class ObservableSum:
@@ -283,19 +284,29 @@ def _effective_operator(
 
 
 def _top_eigenvector(eff: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Top eigenvector of ``(..., d, d)``; ties go to the largest overlap.
+    """Top eigenvector of ``(..., d, d)`` nearest to ``current``.
 
     Eigenvalues within ``_DEGENERACY_TOL`` (relative, floored at 1) of the
-    top one count as tied, and the first of them in descending order that
-    overlaps most with ``current`` wins.
+    top one count as tied.  The result is the normalized projection of
+    ``current`` onto their eigenspace, so an already optimal vector is
+    kept.  Where that projection is negligible, the first tied eigenvector
+    in descending order that overlaps most with ``current`` wins.
     """
     vals, vecs = np.linalg.eigh(eff)
     vals, vecs = vals[..., ::-1], vecs[..., ::-1]
     top = vals[..., :1]
     tied = top - vals <= _DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
-    overlap = np.abs(np.einsum("...i,...ik->...k", current.conj(), vecs))
-    best = np.where(tied, overlap, -1.0).argmax(axis=-1)
-    return np.take_along_axis(vecs, best[..., None, None], axis=-1)[..., 0]
+    # <current|v_k> on the tied eigenvectors, which lead the descending order
+    overlap = np.where(tied, (current.conj()[..., None, :] @ vecs)[..., 0, :], 0.0)
+    size = np.abs(overlap)
+    norm = np.sqrt((size * size).sum(axis=-1, keepdims=True))
+    projection = (vecs @ overlap.conj()[..., None])[..., 0]
+    kept = norm > _NEGLIGIBLE_PROJECTION
+    if kept.all():
+        return projection / norm
+    best = size.argmax(axis=-1)
+    fallback = np.take_along_axis(vecs, best[..., None, None], axis=-1)[..., 0]
+    return np.where(kept, projection / np.where(kept, norm, 1.0), fallback)
 
 
 def _term_values(coeffs: np.ndarray, expectations: Sequence[np.ndarray]) -> np.ndarray:

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entcert import qmodel
+from entcert import qmodel, solver
 from entcert.cli import main, parse_angle
-from entcert.grids import emit_grid, parse_grid
+from entcert.grids import MeasurementSet, emit_grid, parse_grid, render_float
 
 
 def _run(capsys, argv):
@@ -276,6 +276,35 @@ def test_sweep_matches_closed_form_identity(capsys):
         theta, ne, _ = line.split(",")
         expected = 1.0 + abs(math.sin(2.0 * float(theta)))
         assert float(ne) == pytest.approx(expected, abs=1e-9)
+
+
+def test_sampled_sweep_rows_equal_solving_each_angle_alone(capsys):
+    # more than three cells: the sweep solves its angles as one stack
+    argv = ["sweep", "--family", "chi1", "--set", "XX,XY,YZ,ZZ",
+            "--shots", "300", "--seed", "11", "--steps", "7"]
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    mset = MeasurementSet.parse("XX,XY,YZ,ZZ")
+    expected = ["theta,ne,verdict"]
+    for k, theta in enumerate(np.linspace(-math.pi, math.pi, 7)):
+        rho = qmodel.make_state(qmodel.StateFamilyParams("chi1", float(theta)))
+        grid = qmodel.correlator_grid(rho, shots=300, seed=11 + k)
+        res = solver.ne_solve(grid, mset)
+        row = (render_float(theta), render_float(res.value), res.verdict)
+        expected.append(",".join(row))
+    assert out.strip().splitlines() == expected
+
+
+def test_solver_failure_has_its_own_exit_code(capsys, tmp_path):
+    path = _chi3_file(tmp_path)
+    for argv in (
+        ["verify", "--input", path, "--max-iter", "1"],
+        ["sweep", "--family", "bell", "--set", "XX,XY,YZ,ZZ", "--max-iter", "1"],
+    ):
+        rc, out, err = _run(capsys, argv)
+        assert rc == 3
+        assert out == ""
+        assert err == "error: solver failure: interior-point iteration limit exceeded\n"
 
 
 def test_sweep_json_envelope_and_determinism(capsys):

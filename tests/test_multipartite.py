@@ -268,16 +268,38 @@ def test_ne_input_validation():
 
 
 def test_top_eigenvector_ties_go_to_the_largest_overlap():
+    # the normalized projection of the current vector onto the tied top
+    # eigenspace is the tied unit vector of largest overlap; where it is
+    # negligible, the tied eigenvector of largest overlap wins
     tied = np.diag([1.0, 1.0, -1.0]).astype(complex)
     clear = np.diag([2.0, 1.0, 0.0]).astype(complex)
-    effs = np.array([tied, tied, clear])
-    currents = np.array([[0.6, 0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
-    expected = [1, 0, 0]
+    effs = np.array([tied, tied, clear, clear, tied])
+    currents = np.array(
+        [[0.6, 0.8, 0.0], [0.6, 0.0, 0.8], [0.6j, 0.8, 0.0], [0.0, 1.0, 0.0],
+         [0.0, 1e-12, 1.0]],
+        dtype=complex,
+    )
+    expected = np.array(
+        [[0.6, 0.8, 0.0], [1.0, 0.0, 0.0], [1j, 0.0, 0.0], [1.0, 0.0, 0.0],
+         [0.0, 1.0, 0.0]],
+        dtype=complex,
+    )
     batched = mp._top_eigenvector(effs, currents)
-    for eff, current, k, row in zip(effs, currents, expected, batched):
+    for k, (eff, current, row) in enumerate(zip(effs, currents, batched)):
         single = mp._top_eigenvector(eff, current)
         assert np.allclose(row, single, atol=1e-15)
-        assert np.allclose(np.abs(single), np.eye(3)[k], atol=1e-12)
+        if k < 3:  # the projection keeps the current phase
+            assert np.allclose(single, expected[k], atol=1e-12)
+        else:  # an eigenvector, whose phase is the eigensolver's
+            assert np.allclose(np.abs(single), np.abs(expected[k]), atol=1e-12)
+
+
+def test_capped_starts_keep_an_optimal_vector_on_a_zero_operator():
+    # with 12 starts, X eigenvectors sit on sites 1-2 of XYY, where the
+    # effective operator of site 0 vanishes; the sweep must keep X+ there
+    obs = mp.ObservableSum.from_pauli_strings([(1.0, "XYY")])
+    res = mp.spi_lambda_max(obs, mp.SPIOptions(restarts=12, random_starts=4))
+    assert res.lambda_max == pytest.approx(1.0, abs=1e-12)
 
 
 def _reference_sweep(obs, vectors, opts):

@@ -246,3 +246,126 @@ def test_pure_product_full_grid_is_rank_one_nuclear_norm():
         nuclear = np.linalg.svd(grid.matrix(), compute_uv=False).sum()
         assert r.value == pytest.approx(nuclear, abs=1e-8)
         assert r.verdict == "undetected"
+
+
+def _random_stack(rng):
+    """Grids on one random support, with the stack's hard cases mixed in."""
+    d = int(rng.integers(2, 4))
+    side = d * d - 1
+    if d == 2 and rng.random() < 0.25:
+        # pure product states on the full qubit grid: singular Hessians
+        cells = [(i, j) for i in range(3) for j in range(3)]
+        seeds = rng.integers(2**31, size=int(rng.integers(2, 26)))
+        grids = [
+            qmodel.correlator_grid(qmodel.sample_separable(2, 1, seed=int(s)))
+            for s in seeds
+        ]
+        return cells, grids
+    flat = rng.choice(side * side, size=int(rng.integers(2, 10)), replace=False)
+    cells = [divmod(int(f), side) for f in flat]
+    rows = []
+    for _ in range(int(rng.integers(2, 26))):
+        kind = rng.integers(4)
+        if kind == 0:
+            rows.append(np.zeros(len(cells)))
+        elif kind == 1:  # +-1 values: the roundoff guard fires
+            rows.append(rng.choice([-1.0, 1.0], size=len(cells)))
+        else:
+            rows.append(rng.uniform(-1.0, 1.0, size=len(cells)))
+    grids = [
+        CorrelatorGrid((d, d), {c: float(x) for c, x in zip(cells, row)})
+        for row in rows
+    ]
+    return cells, grids
+
+
+def test_stacked_solve_matches_each_grid_alone(monkeypatch):
+    rng = np.random.default_rng(47)
+    # the damped step from this grid's iterates leaves B(c) not PD to
+    # roundoff, so the guard must halve it
+    signs = {"XX": 1.0, "XZ": -1.0, "YX": 1.0, "YZ": -1.0, "ZX": -1.0, "ZY": -1.0}
+    guarded = [_grid(signs), _grid(dict.fromkeys(signs, 0.5))]
+    stacks = [_random_stack(rng) for _ in range(60)]
+    stacks.append((guarded[0].measured, guarded))
+
+    counts = {"stack failed": 0, "singular": 0}
+    stack, step = solver._ActiveBlock.cholesky_stack, solver._newton_step
+
+    def counted_stack(self, cs):
+        out = stack(self, cs)
+        counts["stack failed"] += out is None
+        return out
+
+    def counted_step(hess, g):
+        out = step(hess, g)
+        counts["singular"] += out[0] is None
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver._ActiveBlock, "cholesky_stack", counted_stack)
+        patch.setattr(solver, "_newton_step", counted_step)
+        stacked = [solver.ne_solve_batch(grids, cells) for cells, grids in stacks]
+    # the stacks reach the roundoff guard and the singular-Hessian rule
+    assert counts["stack failed"] > 0 and counts["singular"] > 0
+
+    kinds = set()
+    for (cells, grids), results in zip(stacks, stacked):
+        assert len(results) == len(grids)
+        for grid, got in zip(grids, results):
+            alone = solver.ne_solve(grid, cells)
+            assert got.value == pytest.approx(alone.value, abs=1e-12)
+            assert got.iterations == alone.iterations
+            assert got.gap == alone.gap
+            assert got.verdict == alone.verdict
+            assert np.allclose(
+                got.coefficients.coeffs, alone.coefficients.coeffs, atol=1e-9
+            )
+            kinds.add("zero" if alone.iterations == 0 else grid.dims)
+    assert kinds == {"zero", (2, 2), (3, 3)}
+
+
+def test_stacked_loop_factorizes_once_per_step(monkeypatch):
+    calls = {"stack": 0, "single": 0}
+    stack, single = solver._ActiveBlock.cholesky_stack, solver._ActiveBlock.cholesky
+
+    def counted_stack(self, cs):
+        calls["stack"] += 1
+        return stack(self, cs)
+
+    def counted_single(self, c):
+        calls["single"] += 1
+        return single(self, c)
+
+    monkeypatch.setattr(solver._ActiveBlock, "cholesky_stack", counted_stack)
+    monkeypatch.setattr(solver._ActiveBlock, "cholesky", counted_single)
+    rng = np.random.default_rng(53)
+    for _ in range(10):
+        d = int(rng.integers(2, 4))
+        side = d * d - 1
+        flat = rng.choice(side * side, size=5, replace=False)
+        cells = [divmod(int(f), side) for f in flat]
+        grids = [
+            CorrelatorGrid((d, d), {c: float(rng.uniform(-1, 1)) for c in cells})
+            for _ in range(8)
+        ]
+        calls.update(stack=0, single=0)
+        results = solver.ne_solve_batch(grids)
+        # one factorization at the start, then one per lockstep step
+        assert calls == {"stack": max(r.iterations for r in results) + 1, "single": 0}
+
+
+def test_stacked_solve_needs_shared_dims_and_support():
+    qubit = _grid({"XX": 0.5, "ZZ": 0.5})
+    with pytest.raises(ValueError, match="support"):
+        solver.ne_solve_batch([qubit, _grid({"XX": 0.5, "YY": 0.5})])
+    qutrit = CorrelatorGrid((3, 3), {(0, 0): 0.5, (2, 2): 0.5})
+    with pytest.raises(ValueError, match="dimensions"):
+        solver.ne_solve_batch([qubit, qutrit], [(0, 0), (2, 2)])
+    assert solver.ne_solve_batch([]) == []
+
+
+def test_solver_failures_raise_solver_error():
+    with pytest.raises(solver.SolverError, match="iteration limit"):
+        solver.ne_solve(MAIN, options=solver.SolverOptions(max_iter=1))
+    with pytest.raises(solver.SolverError, match="iteration limit"):
+        solver.ne_solve_batch([MAIN, MAIN], options=solver.SolverOptions(max_iter=1))
