@@ -115,11 +115,7 @@ def _solver_options(args: argparse.Namespace) -> SolverOptions:
 
 
 def _non_detecting_note(grid: CorrelatorGrid, support) -> str | None:
-    if grid.dims != (2, 2) or len(support) > 3:
-        return None
-    labels = ",".join("XYZ"[i] + "XYZ"[j] for i, j in support)
-    pattern = patterns.classify(MeasurementSet.parse(labels))
-    if pattern.detects:
+    if grid.dims != (2, 2) or len(support) > 3 or patterns.classify(support).detects:
         return None
     return "line pattern cannot detect entanglement"
 

@@ -20,21 +20,26 @@ for the optimal normalized estimation:
                                     entry sharing neither index:
                                     sqrt(a^2 + b^2) + |c|.
     LShape                          a corner: entry pairs sharing a row and
-                                    a column.  The optimum solves a 1-d
-                                    convex minimization (see below).
+                                    a column.  The optimum is a smallest
+                                    corner completion (see below).
     General                         four or more entries: no closed form
                                     here; use the interior-point solver.
 
-The L-shape optimum is computed through the completion identity
+The L-shape optimum comes from the completion identity
 
-    NE = min_mu  nuclear_norm([[a, b], [c, mu]]),
+    NE = min_mu  nuclear_norm([[a, b], [c, mu]]):
 
-a convex scalar problem solved by golden-section search: adding an
-unconstrained coefficient at the unmeasured corner cannot help, so the
-maximum over unit-spectral-norm coefficient matrices supported on the L
-equals the smallest nuclear norm over corner completions of the data.
-The optimizing coefficients come from the polar factor of the completed
-matrix and always sit exactly on the constraint boundary; the closed
+adding an unconstrained coefficient at the unmeasured corner cannot help,
+so the maximum over unit-spectral-norm coefficient matrices supported on
+the L equals the smallest nuclear norm over corner completions of the
+data.  With a the entry sharing a row with b and a column with c, the
+minimizer is mu* = bc/a when |bc| < a^2, giving
+
+    NE = sqrt((a^2 + b^2)(a^2 + c^2)) / |a|,
+
+and mu* = sign(bc) a otherwise, giving NE = |b| + |c|.  The optimizing
+coefficients are the polar factor of the completed matrix, in closed form
+too, and sit exactly on the constraint boundary; the closed
 eigenvalue form lambda_plus = (T + sqrt(T^2 - 4 b^2 g^2)) / 2 for the
 squared spectral norm of an L-shaped matrix is exposed for cross-checks.
 """
@@ -44,10 +49,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from . import smallmat
 from .grids import AXES, CorrelatorGrid, MeasurementSet
 from .witness import (
     CoefficientMatrix,
@@ -184,14 +189,16 @@ def _find_permutations(
     raise AssertionError("canonical representative does not reach the set")
 
 
-def classify(mset: MeasurementSet) -> PatternClass:
-    """Pattern class of a measurement set.
+def classify(mset: MeasurementSet | Sequence[tuple[int, int]]) -> PatternClass:
+    """Pattern class of a measurement set, given by its labels or its cells.
 
     Sets of more than three correlators are classified General (no closed
     form).  Ties between witnessing permutation pairs are broken by the
     lexicographically smallest pair, preferring the untransposed embedding.
     """
-    cells = tuple(sorted(mset.indices()))
+    if isinstance(mset, MeasurementSet):
+        mset = mset.indices()
+    cells = tuple(sorted(mset))
     if len(cells) > 3:
         return PatternClass(
             TAG_GENERAL, _cells_to_set(cells), (0, 1, 2), (0, 1, 2), False
@@ -271,30 +278,6 @@ def _domino_result(values: dict[tuple[int, int], float]) -> NEResult:
     return _result(value, cells, tuple(coeffs[c] for c in cells))
 
 
-def _nuclear_2x2(a: float, b: float, c: float, mu: float) -> float:
-    # nuclear norm of [[a, b], [c, mu]] = sqrt(frobenius^2 + 2 |det|)
-    fro2 = a * a + b * b + c * c + mu * mu
-    det = a * mu - b * c
-    return math.sqrt(fro2 + 2.0 * abs(det))
-
-
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
-
-
 def _lshape_result(values: dict[tuple[int, int], float]) -> NEResult:
     cells = tuple(sorted(values))
     rows = [i for i, _ in cells]
@@ -306,50 +289,24 @@ def _lshape_result(values: dict[tuple[int, int], float]) -> NEResult:
     colmate = next(c for c in cells if c != corner and c[1] == corner[1])
     a, b, c = values[corner], values[rowmate], values[colmate]
 
-    reach = abs(a) + abs(b) + abs(c) + 1.0
-    mu_star = _golden_min(lambda mu: _nuclear_2x2(a, b, c, mu), -reach, reach)
-
-    # Optimal coefficients are a subgradient of the nuclear norm at the
-    # completed matrix with vanishing corner: u1 v1^T + w u2 v2^T, where the
-    # second pair is the (rotated) orthonormal complement of the top pair -
-    # never extracted from a possibly tiny second singular value.  At smooth
-    # minimizers corner-zeroing forces w = +-1 (the polar factor); at the
-    # rank-deficient kink any |w| <= 1 is admissible and the corner pins it.
-    # The corner formula divides by u1[0] v1[0], which can be noise-sized,
-    # so every admissible candidate is evaluated and the best one kept.
-    completed = np.array([[a, b], [c, mu_star]])
-    u, s, vt = smallmat.svd(completed)
-    u1, v1 = u[:, 0], vt[0, :]
-    u2 = np.array([-u1[1], u1[0]])
-    v2 = np.array([-v1[1], v1[0]])
-    top = np.outer(u1, v1)
-    second = np.outer(u2, v2)
-    denom = second[1, 1]
-    candidates = [1.0, -1.0]
-    if abs(denom) > 1e-12:
-        candidates.append(min(1.0, max(-1.0, -top[1, 1] / denom)))
-
-    best_value = -1.0
-    best_coeffs = None
-    data = np.array([a, b, c])
-    for w in candidates:
-        local = top + w * second
-        # keep only the measured cells and renormalize onto the boundary
-        entries = np.array([local[0, 0], local[0, 1], local[1, 0]])
-        embed = np.array([[entries[0], entries[1]], [entries[2], 0.0]])
-        nrm = smallmat.operator_norm(embed)
-        if nrm == 0.0:
-            continue
-        value = abs(float(data @ entries)) / nrm
-        if value > best_value:
-            best_value = value
-            best_coeffs = entries / nrm
-            if float(data @ best_coeffs) < 0.0:
-                best_coeffs = -best_coeffs
-    if best_coeffs is None:  # all-zero data
-        return _result(0.0, cells, (1.0, 0.0, 0.0))
-    coeffs = {corner: best_coeffs[0], rowmate: best_coeffs[1], colmate: best_coeffs[2]}
-    return _result(best_value, cells, tuple(coeffs[cell] for cell in cells))
+    # The optimal coefficients are the polar factor of the completion at the
+    # minimizing corner, which vanishes there.
+    if abs(b * c) < a * a:
+        # mu* = bc/a: the completion has rank one, and the corner fixes the
+        # weight -sign(a) bc/a^2 of the complementary singular pair
+        row, col = math.hypot(a, b), math.hypot(a, c)
+        value = row * col / abs(a)
+        coeffs = (
+            (a**4 - (b * c) ** 2) / (a * abs(a) * row * col),
+            b * col / (abs(a) * row),
+            c * row / (abs(a) * col),
+        )
+    else:
+        # mu* = sign(bc) a: the polar factor is the signed swap of b and c
+        value = abs(b) + abs(c)
+        coeffs = (0.0, math.copysign(1.0, b), math.copysign(1.0, c))
+    by_cell = dict(zip((corner, rowmate, colmate), coeffs))
+    return _result(value, cells, tuple(by_cell[cell] for cell in cells))
 
 
 def ne_closed_form(mset: MeasurementSet, g: CorrelatorGrid) -> NEResult:

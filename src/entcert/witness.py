@@ -17,6 +17,7 @@ materialized on demand only, which keeps the construction dimension-generic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -91,6 +92,11 @@ class CoefficientMatrix:
         return out
 
     def operator_norm(self) -> float:
+        return self._operator_norm
+
+    @functools.cached_property
+    def _operator_norm(self) -> float:
+        # one SVD per matrix: the witness pair and its bound check share it
         return float(np.linalg.svd(self.dense(), compute_uv=False)[0])
 
     def scaled(self, factor: float) -> "CoefficientMatrix":

@@ -90,6 +90,14 @@ def test_classify_general_for_four_plus():
     assert p.detects
 
 
+def test_classify_takes_cells_in_any_order():
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    for k in range(1, 10):
+        for combo in itertools.combinations(cells, k):
+            mset = MeasurementSet(tuple((AXES[i], AXES[j]) for i, j in combo))
+            assert patterns.classify(combo[::-1]) == patterns.classify(mset)
+
+
 # -- closed forms --------------------------------------------------------------
 
 

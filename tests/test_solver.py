@@ -369,3 +369,63 @@ def test_solver_failures_raise_solver_error():
         solver.ne_solve(MAIN, options=solver.SolverOptions(max_iter=1))
     with pytest.raises(solver.SolverError, match="iteration limit"):
         solver.ne_solve_batch([MAIN, MAIN], options=solver.SolverOptions(max_iter=1))
+
+
+def _random_grid(rng, dims):
+    side = dims * dims - 1
+    flat = rng.choice(side * side, size=int(rng.integers(2, 10)), replace=False)
+    values = rng.uniform(-1.0, 1.0, size=len(flat))
+    return CorrelatorGrid(
+        (dims, dims), {divmod(int(f), side): float(x) for f, x in zip(flat, values)}
+    )
+
+
+def _dense_decrement(v, support, m, n, t, c, mu):
+    """Newton decrement of -<v, c>/mu - log det B(c), from the dense B^-1."""
+    size = m + n
+    units = []
+    for i, j in support:
+        unit = np.zeros((size, size))
+        unit[i, m + j] = unit[m + j, i] = 1.0
+        units.append(unit)
+    inverse = np.linalg.inv(t * np.eye(size) + sum(x * u for x, u in zip(c, units)))
+    grad = -v / mu - np.array([np.trace(inverse @ u) for u in units])
+    hess = np.array(
+        [[np.trace(inverse @ a @ inverse @ b) for b in units] for a in units]
+    )
+    return math.sqrt(grad @ np.linalg.solve(hess, grad))
+
+
+def test_returned_iterate_is_centered_on_its_last_stage(monkeypatch):
+    # earlier stages stop at lambda <= 1/2; the last one must still reach
+    # lambda <= 0.01, or gap = nu * mu would not bound the optimum
+    ends = []
+    maximize = solver._maximize
+
+    def recorded(v, support, m, n, t, opts):
+        out = maximize(v, support, m, n, t, opts)
+        ends.append((v, support, m, n, t, out))
+        return out
+
+    monkeypatch.setattr(solver, "_maximize", recorded)
+    rng = np.random.default_rng(59)
+    grids = [MAIN] + [_random_grid(rng, d) for d in (2, 3) for _ in range(12)]
+    for g in grids:
+        solver.ne_solve(g)
+    assert {g.dims for g in grids} == {(2, 2), (3, 3)}
+    assert len(ends) == len(grids)
+    for v, support, m, n, t, (c, steps, gap) in ends:
+        assert steps > 0
+        assert _dense_decrement(v, support, m, n, t, c, gap / (m + n)) <= 0.01
+
+
+def test_worked_example_takes_few_steps_on_the_short_path():
+    got = solver.ne_solve(MAIN, MeasurementSet.parse("XX,XY,ZX"))
+    assert got.value == pytest.approx(1.3512657203864136, abs=1e-12)
+    assert got.iterations <= 15
+
+
+def test_random_qubit_supports_take_few_steps_on_average():
+    rng = np.random.default_rng(61)
+    steps = [solver.ne_solve(_random_grid(rng, 2)).iterations for _ in range(50)]
+    assert np.mean(steps) <= 45
