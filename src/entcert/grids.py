@@ -185,7 +185,7 @@ class CorrelatorGrid:
         """Build a two-qubit grid from Pauli labels, e.g. {'XX': -0.95}."""
         values: dict[tuple[int, int], float] = {}
         for label, v in correlators.items():
-            key = _parse_qubit_label(label)
+            key = parse_qubit_label(label)
             if key in values:
                 raise ValueError(f"duplicate key {label!r}")
             values[key] = v
@@ -197,7 +197,8 @@ class CorrelatorGrid:
         }
 
 
-def _parse_qubit_label(label: str) -> tuple[int, int]:
+def parse_qubit_label(label: str) -> tuple[int, int]:
+    """Basis-index pair of a two-qubit Pauli label, e.g. 'XZ' -> (0, 2)."""
     if len(label) != 2 or label[0] not in _AXIS_INDEX or label[1] not in _AXIS_INDEX:
         raise ValueError(f"unknown Pauli label {label!r}")
     return (_AXIS_INDEX[label[0]], _AXIS_INDEX[label[1]])
@@ -205,7 +206,7 @@ def _parse_qubit_label(label: str) -> tuple[int, int]:
 
 def _parse_key(key: str, dims: tuple[int, int]) -> tuple[int, int]:
     if dims == (2, 2):
-        return _parse_qubit_label(key)
+        return parse_qubit_label(key)
     parts = key.split(",")
     if len(parts) != 2:
         raise ValueError(f"malformed index key {key!r}")

@@ -25,6 +25,14 @@ for the optimal normalized estimation:
     General                         four or more entries: no closed form
                                     here; use the interior-point solver.
 
+Every class but the L-shape follows one rule.  The support splits into
+row lines (column lines when two entries share a column) that share no
+index with each other, so the coefficient matrix is a direct sum of line
+vectors and its spectral norm is the largest of their norms.  The optimum
+is therefore the sum of the lines' Euclidean norms, reached by aligning
+each line's coefficients with its data; a zero line gets coefficient 1 on
+its first cell.
+
 The L-shape optimum comes from the completion identity
 
     NE = min_mu  nuclear_norm([[a, b], [c, mu]]):
@@ -232,49 +240,26 @@ def _result(
     )
 
 
-def _line_result(values: dict[tuple[int, int], float]) -> NEResult:
-    # Optimal coefficients align with the data: Cauchy-Schwarz on the single
-    # measured row or column gives the Euclidean norm of the values.
+def _lines_result(values: dict[tuple[int, int], float]) -> NEResult:
+    # the rule of every class but the L-shape (module docstring): the sum of
+    # the line norms, with coefficients aligned to each line's data
     cells = tuple(sorted(values))
-    vec = np.array([values[c] for c in cells])
-    nrm = float(np.linalg.norm(vec))
-    if nrm == 0.0:
-        coeffs = tuple(1.0 if k == 0 else 0.0 for k in range(len(cells)))
-        return _result(0.0, cells, coeffs)
-    return _result(nrm, cells, tuple(vec / nrm))
-
-
-def _signs_result(values: dict[tuple[int, int], float]) -> NEResult:
-    # Entries in distinct rows and columns: take each with its own sign.
-    cells = tuple(sorted(values))
-    coeffs = tuple(1.0 if values[c] >= 0.0 else -1.0 for c in cells)
-    value = float(sum(abs(values[c]) for c in cells))
-    return _result(value, cells, coeffs)
-
-
-def _domino_result(values: dict[tuple[int, int], float]) -> NEResult:
-    cells = tuple(sorted(values))
-    rows = [i for i, _ in cells]
     cols = [j for _, j in cells]
-    if len(set(rows)) == 2:
-        repeated = next(r for r in rows if rows.count(r) == 2)
-        domino = tuple(c for c in cells if c[0] == repeated)
-        isolated = next(c for c in cells if c[0] != repeated)
-    else:
-        repeated = next(c for c in cols if cols.count(c) == 2)
-        domino = tuple(c for c in cells if c[1] == repeated)
-        isolated = next(c for c in cells if c[1] != repeated)
-    pair_vec = np.array([values[c] for c in domino])
-    pair_nrm = float(np.linalg.norm(pair_vec))
-    if pair_nrm == 0.0:
-        pair_coeffs = np.array([1.0, 0.0])
-    else:
-        pair_coeffs = pair_vec / pair_nrm
-    iso_val = values[isolated]
-    iso_coeff = 1.0 if iso_val >= 0.0 else -1.0
-    value = pair_nrm + abs(iso_val)
-    coeffs = {c: pair_coeffs[k] for k, c in enumerate(domino)}
-    coeffs[isolated] = iso_coeff
+    axis = 1 if len(set(cols)) < len(cols) else 0
+    lines: dict[int, list[tuple[int, int]]] = {}
+    for cell in cells:
+        lines.setdefault(cell[axis], []).append(cell)
+    value = 0.0
+    coeffs: dict[tuple[int, int], float] = {}
+    for line in lines.values():
+        vec = np.array([values[c] for c in line])
+        nrm = float(np.linalg.norm(vec))
+        value += nrm
+        if nrm == 0.0:
+            unit = [1.0] + [0.0] * (len(line) - 1)
+        else:
+            unit = (vec / nrm).tolist()
+        coeffs.update(zip(line, unit))
     return _result(value, cells, tuple(coeffs[c] for c in cells))
 
 
@@ -322,13 +307,9 @@ def ne_closed_form(mset: MeasurementSet, g: CorrelatorGrid) -> NEResult:
         raise ValueError("no closed form for this pattern; use the general solver")
     cells = tuple(sorted(mset.indices()))
     values = _grid_values(g, cells)
-    if pattern.tag in (TAG_LINE_ROW, TAG_LINE_COL, TAG_THREE_LINE):
-        return _line_result(values)
-    if pattern.tag in (TAG_TWO_GENERIC, TAG_THREE_DIAGONAL):
-        return _signs_result(values)
-    if pattern.tag == TAG_TWO_PLUS_ISOLATED:
-        return _domino_result(values)
-    return _lshape_result(values)
+    if pattern.tag == TAG_L_SHAPE:
+        return _lshape_result(values)
+    return _lines_result(values)
 
 
 # -- orbit enumeration ---------------------------------------------------------

@@ -1,246 +1,42 @@
-"""Dense linear algebra for small real/complex matrices (up to ~64x64).
+"""Checked eigendecomposition and SVD of small dense matrices.
 
-Provides symmetric/Hermitian eigendecomposition by cyclic Jacobi rotations,
-singular values via the normal-matrix route, operator-norm and positive-
-semidefiniteness tests, and Cholesky-based log-determinants with gradient.
+Nothing under ``src/`` calls this module: the solver, the closed forms and
+the product-state search call ``np.linalg`` directly.  It stays only because
+the benchmark tracer wraps ``hermitian_eig`` and ``svd`` by name.
 
-Conventions:
-    * Eigenvalues and singular values are returned in descending order.
-    * Eigenvectors are columns: ``m @ v[:, k] == w[k] * v[:, k]``.
-    * ``operator_norm`` is the largest singular value.
-    * Tolerances are absolute unless stated otherwise.
-
-Everything here is a pure function of its inputs; no global state.
+Conventions: values are returned in descending order, and eigenvectors are
+columns, ``m @ v[:, k] == w[k] * v[:, k]``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-Array = np.ndarray
 
 #: Hermiticity is accepted up to this relative deviation.
 HERMITICITY_TOL = 1e-12
-#: Default tolerance for positive-semidefiniteness tests.
-PSD_TOL = 1e-9
-#: Relative rank cutoff used by the SVD back-substitution.
-RANK_TOL = 1e-12
-
-_SWEEP_LIMIT = 100
-_OFF_STOP = 1e-14
 
 
-def _as_matrix(m: object, square: bool = False) -> Array:
+def _as_matrix(m: object) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has a non-finite entry")
-    if square and a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
-def _check_hermitian(a: Array) -> None:
+def hermitian_eig(m: object) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, v)`` with eigenvalues ``w`` descending and orthonormal columns ``v``."""
+    a = _as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.conj().T).max()) > HERMITICITY_TOL * scale:
         raise ValueError("matrix is not Hermitian")
+    w, v = np.linalg.eigh(a)
+    return w[::-1], v[:, ::-1]
 
 
-def hermitian_eig(m: object) -> tuple[Array, Array]:
-    """Eigendecompose a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` sorted descending and
-    orthonormal eigenvector columns ``v`` such that ``m == v @ diag(w) @ v†``
-    up to roundoff.
-    """
-    a = _as_matrix(m, square=True)
-    _check_hermitian(a)
-    n = a.shape[0]
-    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-    work = np.array(a, dtype=dtype)
-    work = 0.5 * (work + work.conj().T)
-    vecs = np.eye(n, dtype=dtype)
-    if n == 1:
-        return np.array([work[0, 0].real]), vecs
-
-    fro = math.sqrt(float((np.abs(work) ** 2).sum()))
-    if fro == 0.0:
-        return np.zeros(n), vecs
-    tiny = 1e-300
-
-    for _ in range(_SWEEP_LIMIT):
-        off2 = float(
-            (np.abs(work - np.diag(np.diagonal(work))) ** 2).sum()
-        )
-        if off2 <= (_OFF_STOP * fro) ** 2 or off2 <= tiny:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = work[p, q]
-                mag = abs(b)
-                if mag <= _OFF_STOP * fro * 1e-2:
-                    continue
-                # Phase factor turning the pivot real, then a real rotation.
-                phase = np.conj(b) / mag
-                tau = (work[q, q].real - work[p, p].real) / (2.0 * mag)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Right-multiply by the plane rotation U.
-                colp = work[:, p].copy()
-                colq = work[:, q].copy()
-                work[:, p] = c * colp - (phase * s) * colq
-                work[:, q] = s * colp + (phase * c) * colq
-                # Left-multiply by U†.
-                rowp = work[p, :].copy()
-                rowq = work[q, :].copy()
-                work[p, :] = c * rowp - (np.conj(phase) * s) * rowq
-                work[q, :] = s * rowp + (np.conj(phase) * c) * rowq
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - (phase * s) * vq
-                vecs[:, q] = s * vp + (phase * c) * vq
-
-    eigenvalues = np.real(np.diagonal(work)).copy()
-    order = np.argsort(eigenvalues)[::-1]
-    return eigenvalues[order], vecs[:, order]
-
-
-def svd(m: object) -> tuple[Array, Array, Array]:
-    """Singular value decomposition via the eigendecomposition of ``m† m``.
-
-    Returns ``(u, s, vt)`` with ``s`` descending, ``u`` of shape
-    ``(rows, rows)`` and ``vt`` of shape ``(cols, cols)``; left singular
-    vectors beyond the numerical rank are completed from the standard basis.
-    """
-    a = _as_matrix(m)
-    rows, cols = a.shape
-    w, v = hermitian_eig(a.conj().T @ a)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    top = s[0] if s.size else 0.0
-    rank_cut = RANK_TOL * max(top, 1e-300)
-
-    u_cols: list[Array] = []
-    for k in range(min(rows, cols)):
-        if s[k] > rank_cut:
-            u_cols.append((a @ v[:, k]) / s[k])
-    u = _complete_orthonormal(u_cols, rows, np.iscomplexobj(a))
-    return u, s[: min(rows, cols)], v.conj().T
-
-
-def _complete_orthonormal(columns: list[Array], dim: int, complex_out: bool) -> Array:
-    dtype = np.complex128 if complex_out else np.float64
-    basis: list[Array] = []
-    for col in columns:
-        vec = np.asarray(col, dtype=dtype)
-        for prev in basis:
-            vec = vec - prev * (prev.conj() @ vec)
-        nrm = float(np.linalg.norm(vec))
-        if nrm > 1e-12:
-            basis.append(vec / nrm)
-    for k in range(dim):
-        if len(basis) == dim:
-            break
-        vec = np.zeros(dim, dtype=dtype)
-        vec[k] = 1.0
-        for prev in basis:
-            vec = vec - prev * (prev.conj() @ vec)
-        nrm = float(np.linalg.norm(vec))
-        if nrm > 1e-8:
-            basis.append(vec / nrm)
-    return np.column_stack(basis)
-
-
-def singular_values(m: object) -> Array:
-    """All singular values of ``m``, descending."""
-    a = _as_matrix(m)
-    w, _ = hermitian_eig(a.conj().T @ a)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    return s[: min(a.shape)]
-
-
-def operator_norm(m: object) -> float:
-    """Largest singular value of ``m`` (spectral norm)."""
-    return float(singular_values(m)[0])
-
-
-def nuclear_norm(m: object) -> float:
-    """Sum of singular values of ``m`` (trace norm)."""
-    return float(singular_values(m).sum())
-
-
-def is_psd(m: object, tol: float = PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue of Hermitian ``m`` is >= -tol."""
-    w, _ = hermitian_eig(m)
-    return bool(w[-1] >= -tol)
-
-
-def norm_block(c: object, t: float) -> Array:
-    """The block matrix [[t*I, C], [C^T, t*I]].
-
-    The block is positive semidefinite exactly when ``operator_norm(c) <= t``,
-    which is how spectral-norm constraints are expressed as semidefinite
-    conditions throughout the package.
-    """
-    a = _as_matrix(c)
-    rows, cols = a.shape
-    block = np.zeros((rows + cols, rows + cols), dtype=a.dtype)
-    block[:rows, :rows] = t * np.eye(rows)
-    block[rows:, rows:] = t * np.eye(cols)
-    block[:rows, rows:] = a
-    block[rows:, :rows] = a.conj().T
-    return block
-
-
-def cholesky_pd(m: object) -> Array:
-    """Lower-triangular Cholesky factor of a positive-definite matrix.
-
-    Raises ValueError when ``m`` is not (numerically) positive definite.
-    """
-    a = _as_matrix(m, square=True)
-    _check_hermitian(a)
-    n = a.shape[0]
-    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-    lower = np.zeros((n, n), dtype=dtype)
-    for j in range(n):
-        d = a[j, j].real - float((np.abs(lower[j, :j]) ** 2).sum())
-        if d <= 0.0:
-            raise ValueError("matrix is not positive definite")
-        lower[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (
-                a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j].conj()
-            ) / lower[j, j]
-    return lower
-
-
-def logdet_pd(m: object) -> float:
-    """log(det(m)) for positive-definite ``m``."""
-    lower = cholesky_pd(m)
-    return float(2.0 * np.log(np.real(np.diagonal(lower))).sum())
-
-
-def logdet_gradient(m: object) -> Array:
-    """Gradient of ``logdet_pd`` at ``m``, i.e. the inverse of ``m``."""
-    lower = cholesky_pd(m)
-    n = lower.shape[0]
-    eye = np.eye(n, dtype=lower.dtype)
-    # Forward substitution L y = I, then back substitution L† x = y.
-    y = np.zeros_like(eye)
-    for i in range(n):
-        y[i] = (eye[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    upper = lower.conj().T
-    x = np.zeros_like(eye)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - upper[i, i + 1 :] @ x[i + 1 :]) / upper[i, i]
-    return 0.5 * (x + x.conj().T)
+def svd(m: object) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, s, vt)`` with ``s`` descending, ``u`` of side rows, ``vt`` of side cols."""
+    return np.linalg.svd(_as_matrix(m))

@@ -316,12 +316,6 @@ def _maximize_stack(
         c = trial
 
 
-def _support_norm(c: np.ndarray, support, m: int, n: int) -> float:
-    dense = np.zeros((m, n))
-    dense[tuple(np.array(support).T)] = c
-    return float(np.linalg.svd(dense, compute_uv=False)[0])
-
-
 def _support_of(
     g: CorrelatorGrid,
     measurements: MeasurementSet | Sequence[tuple[int, int]] | None,
@@ -337,8 +331,6 @@ def _result(
     dims: tuple[int, int],
     support: tuple[tuple[int, int], ...],
     v: np.ndarray,
-    m: int,
-    n: int,
     t: float,
     path: tuple[np.ndarray, int, float] | None,
 ) -> NEResult:
@@ -355,9 +347,9 @@ def _result(
         )
     c, steps, gap = path
     # polish onto the boundary, where the optimum is attained
-    c = c * (t / _support_norm(c, support, m, n))
-    value = abs(float(v @ c))
-    matrix = CoefficientMatrix(dims, support, tuple(c))
+    centered = CoefficientMatrix(dims, support, tuple(c))
+    matrix = centered.scaled(t / centered.operator_norm())
+    value = abs(float(v @ np.array(matrix.coeffs)))
     return NEResult(
         value=value,
         coefficients=matrix,
@@ -421,7 +413,7 @@ def ne_solve_batch(
         stacked = _maximize_stack(values[rows], support, m, n, t, opts)
         for row, c, steps, gap in zip(rows, *stacked):
             paths[row] = (c, int(steps), float(gap))
-    return [_result(dims, support, v, m, n, t, path) for v, path in zip(values, paths)]
+    return [_result(dims, support, v, t, path) for v, path in zip(values, paths)]
 
 
 @dataclass(frozen=True)

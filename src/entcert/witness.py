@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from . import qmodel
-from .grids import CorrelatorGrid, pair_label
+from .grids import CorrelatorGrid, pair_label, parse_qubit_label
 
 Array = np.ndarray
 
@@ -75,15 +75,8 @@ class CoefficientMatrix:
     @classmethod
     def from_qubit_labels(cls, entries: Mapping[str, float]) -> "CoefficientMatrix":
         """Two-qubit coefficients from Pauli labels, e.g. {'XX': 1, 'ZZ': 1}."""
-        axis = {"X": 0, "Y": 1, "Z": 2}
-        support = []
-        coeffs = []
-        for label, c in entries.items():
-            if len(label) != 2 or label[0] not in axis or label[1] not in axis:
-                raise ValueError(f"unknown Pauli label {label!r}")
-            support.append((axis[label[0]], axis[label[1]]))
-            coeffs.append(c)
-        return cls((2, 2), tuple(support), tuple(coeffs))
+        support = tuple(parse_qubit_label(label) for label in entries)
+        return cls((2, 2), support, tuple(entries.values()))
 
     def dense(self) -> Array:
         out = np.zeros((self.dims[0] ** 2 - 1, self.dims[1] ** 2 - 1))

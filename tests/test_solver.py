@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entcert import patterns, qmodel, smallmat, solver
+from entcert import patterns, qmodel, solver
 from entcert.grids import CorrelatorGrid, MeasurementSet
 
 
@@ -102,7 +102,7 @@ def test_full_support_is_nuclear_norm():
         )
         got = solver.ne_solve(g)
         assert got.value == pytest.approx(
-            smallmat.nuclear_norm(dense), abs=1e-8
+            np.linalg.svd(dense, compute_uv=False).sum(), abs=1e-8
         )
 
 
@@ -116,7 +116,7 @@ def test_full_support_qutrit_scaled_nuclear_norm():
         )
         got = solver.ne_solve(g)
         assert got.value == pytest.approx(
-            0.5 * smallmat.nuclear_norm(dense), abs=1e-8
+            0.5 * np.linalg.svd(dense, compute_uv=False).sum(), abs=1e-8
         )
 
 
@@ -429,3 +429,33 @@ def test_random_qubit_supports_take_few_steps_on_average():
     rng = np.random.default_rng(61)
     steps = [solver.ne_solve(_random_grid(rng, 2)).iterations for _ in range(50)]
     assert np.mean(steps) <= 45
+
+
+def test_active_block_is_feasible_exactly_inside_the_norm_ball():
+    # B(c) = [[tI, C], [C^T, tI]] is positive definite exactly when
+    # sigma_1(C) < t, and rows the support leaves out only add t on the
+    # diagonal, so both factorizations of the active block must agree
+    rng = np.random.default_rng(19)
+    cases = 0
+    for da, db in ((2, 2), (2, 3), (3, 3)):
+        m, n = da * da - 1, db * db - 1
+        t = 1.0 / math.sqrt((da - 1) * (db - 1))
+        for _ in range(60):
+            k = int(rng.integers(1, 10))
+            flat = rng.choice(m * n, size=k, replace=False)
+            support = [(int(f // n), int(f % n)) for f in flat]
+            cells = tuple(np.array(support).T)
+            dense = np.zeros((m, n))
+            dense[cells] = rng.normal(size=k)
+            sigma = np.linalg.svd(dense, compute_uv=False)[0]
+            dense *= t * rng.uniform(0.5, 1.5) / sigma
+            c = dense[cells]
+            ratio = np.linalg.svd(dense, compute_uv=False)[0] / t
+            if abs(ratio - 1.0) < 1e-6:
+                continue
+            block = solver._ActiveBlock(support, t)
+            inside = ratio < 1.0
+            assert (block.cholesky(c) is not None) == inside
+            assert (block.cholesky_stack(c[None]) is not None) == inside
+            cases += 1
+    assert cases > 150
