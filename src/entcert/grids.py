@@ -1,4 +1,4 @@
-"""Correlator grids with explicit measured-support masks, plus JSON/CSV IO.
+"""Correlator grids, measurement supports, and JSON/CSV IO.
 
 A grid stores expectation values of products of local basis observables for
 a bipartite system.  Only the entries actually present count as measured;
@@ -8,8 +8,13 @@ Index conventions:
     * Local basis observables are indexed 0 .. d^2 - 2 (the identity is not
       part of a grid).  For qubits the indices 0, 1, 2 carry the labels
       X, Y, Z.
-    * A grid key is the pair (row index, column index) = (first party,
-      second party).
+    * A grid key, or cell, is the pair (row index, column index) = (first
+      party, second party).
+    * A support is an iterable of cells.  ``MeasurementSet`` is the
+      validated qubit support, parsed from labels such as 'XX,ZZ'; it
+      stores cells too.  ``parse_qubit_label`` is the one place a Pauli
+      label becomes a cell, and ``pair_label`` the one place a cell
+      becomes a label.
 
 Serialization is canonical: equal grids produce byte-identical output.
 
@@ -33,7 +38,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -68,47 +73,49 @@ def pair_label(dims: tuple[int, int], pair: tuple[int, int]) -> str:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """An ordered collection of distinct qubit correlator labels.
+    """An ordered collection of distinct two-qubit correlator cells.
 
-    ``pairs`` holds (first-party axis, second-party axis) label pairs such
-    as ("X", "Z").  Between one and nine pairs are allowed.
+    ``cells`` holds (first-party, second-party) basis-index pairs such as
+    (0, 2) for XZ, in the order given; between one and nine are allowed.
+    Iterating a set yields its cells, so it can be passed wherever the
+    analysis modules take an iterable of cells.
     """
 
-    pairs: tuple[tuple[str, str], ...]
+    cells: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= len(self.pairs) <= 9:
+        cells = tuple((int(i), int(j)) for i, j in self.cells)
+        if not 1 <= len(cells) <= 9:
             raise ValueError("a measurement set holds between 1 and 9 pairs")
         seen = set()
-        for a, b in self.pairs:
-            if a not in _AXIS_INDEX or b not in _AXIS_INDEX:
-                raise ValueError(f"unknown Pauli label {a + b!r}")
-            if (a, b) in seen:
-                raise ValueError(f"duplicate pair {a + b!r}")
-            seen.add((a, b))
+        for cell in cells:
+            if not (0 <= cell[0] < 3 and 0 <= cell[1] < 3):
+                raise ValueError(f"cell {cell} outside the qubit basis range")
+            if cell in seen:
+                raise ValueError(f"duplicate pair {pair_label((2, 2), cell)!r}")
+            seen.add(cell)
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def parse(cls, text: str) -> "MeasurementSet":
         """Parse a comma-separated label list such as 'XX,ZZ'."""
         items = [part.strip().upper() for part in text.split(",") if part.strip()]
-        pairs = []
         for item in items:
             if len(item) != 2:
                 raise ValueError(f"malformed correlator label {item!r}")
-            pairs.append((item[0], item[1]))
-        return cls(tuple(pairs))
+        return cls(tuple(parse_qubit_label(item) for item in items))
 
     def indices(self) -> tuple[tuple[int, int], ...]:
-        return tuple((_AXIS_INDEX[a], _AXIS_INDEX[b]) for a, b in self.pairs)
+        return self.cells
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(a + b for a, b in self.pairs)
+        return tuple(pair_label((2, 2), cell) for cell in self.cells)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.cells)
 
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self.pairs)
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self.cells)
 
 
 @dataclass(frozen=True)
@@ -172,12 +179,6 @@ class CorrelatorGrid:
             out[i, j] = v
         return out
 
-    def mask(self) -> np.ndarray:
-        out = np.zeros(self.basis_size, dtype=bool)
-        for i, j in self.values:
-            out[i, j] = True
-        return out
-
     # -- qubit conveniences --------------------------------------------------
 
     @classmethod
@@ -190,11 +191,6 @@ class CorrelatorGrid:
                 raise ValueError(f"duplicate key {label!r}")
             values[key] = v
         return cls((2, 2), values)
-
-    def label_values(self) -> dict[str, float]:
-        return {
-            pair_label(self.dims, pair): self.values[pair] for pair in self.measured
-        }
 
 
 def parse_qubit_label(label: str) -> tuple[int, int]:
@@ -296,7 +292,7 @@ def _parse_csv(text: str) -> CorrelatorGrid:
         except ValueError:
             raise ValueError(f"correlator {a + ',' + b!r} is not a number") from None
         if qubit_labels:
-            pair = (_AXIS_INDEX[a], _AXIS_INDEX[b])
+            pair = parse_qubit_label(a + b)
         else:
             try:
                 pair = (int(a), int(b))
@@ -353,17 +349,12 @@ def emit_grid(grid: CorrelatorGrid, format: str = "json") -> bytes:
 # -- restriction --------------------------------------------------------------
 
 
-def restrict(
-    grid: CorrelatorGrid, subset: MeasurementSet | Iterable[tuple[int, int]]
-) -> CorrelatorGrid:
+def restrict(grid: CorrelatorGrid, subset: Iterable[tuple[int, int]]) -> CorrelatorGrid:
     """Grid containing exactly the requested measured entries.
 
+    ``subset`` is any iterable of cells, a ``MeasurementSet`` among them.
     Every requested pair must be measured in ``grid``; a missing pair is an
     error naming the offending correlator.  Restriction is idempotent.
     """
-    if isinstance(subset, MeasurementSet):
-        wanted: Sequence[tuple[int, int]] = subset.indices()
-    else:
-        wanted = [(int(i), int(j)) for i, j in subset]
-    values = {pair: grid.value_at(pair) for pair in wanted}
+    values = {(int(i), int(j)): grid.value_at((i, j)) for i, j in subset}
     return CorrelatorGrid(grid.dims, values)

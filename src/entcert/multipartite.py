@@ -5,15 +5,17 @@ The single quantity everything here revolves around is
     lambda_max(O) = max over product states |psi_1> x ... x |psi_n>
                     of  <psi|O|psi>,
 
-for observables O given as sums of local-operator products.  On product
-states the expectation factorizes, so fixing every site but one turns O
+for observables O given as sums of local-operator products.  An
+``ObservableSum`` holds its T terms in one form only, the one the sweep
+reads: a coefficient vector (T,) and, per site, a factor stack (T, d, d).
+Expectations, the dense matrix and block groupings are all computed from
+those stacks.  On product states the expectation factorizes, so fixing every site but one turns O
 into a small effective local operator whose top eigenvector is the exact
 single-site optimum.  Sweeping that update cyclically over the sites -
 separability power iteration - ascends monotonically and converges to a
 (local) maximum; a multistart over local basis eigenvectors plus random
 product states is used to escape poor basins.  All starts of one search
-advance in lockstep: the terms are stacked once per observable, each
-site update is one batched eigensolve over the ``(S, d, d)`` effective
+advance in lockstep: each site update is one batched eigensolve over the ``(S, d, d)`` effective
 operators of the S starts still active, and a start leaves the active set
 at its first sweep that gains less than the tolerance.  No
 global-optimality claim is attached to the outcome; results carry restart
@@ -21,7 +23,9 @@ counts and convergence flags instead.
 
 k-separable relaxations reuse the same iteration with sites grouped into
 blocks: a block behaves as a single site of the product dimension and its
-update takes the top eigenvector of the block-reduced operator.
+update takes the top eigenvector of the block-reduced operator.  A
+block's factor stack is the term-by-term Kronecker product of its sites'
+stacks.
 
 ``ne_multipartite`` turns lambda_max into a certification statement: over
 coefficient vectors c, oriented so that sum_k c_k e_k >= 0, it maximizes
@@ -29,8 +33,9 @@ sum_k c_k e_k / lambda_max(sum_k c_k O_k) for measured estimates e_k.  The
 outer problem is non-convex; the implementation alternates a closed-form
 coefficient step against the current optimizer state with full
 re-evaluations, multistarted from several coefficient initializations,
-and reports the best local optimum found.  Values above 1 are
-incompatible with fully separable states.
+and reports the best local optimum found.  The Pauli products are
+stacked once per call, and each evaluation only reweights them.  Values
+above 1 are incompatible with fully separable states.
 """
 
 from __future__ import annotations
@@ -51,11 +56,23 @@ _DEGENERACY_TOL = 1e-10
 _NEGLIGIBLE_PROJECTION = 1e-8
 
 
-class ObservableSum:
-    """Sum of local-operator products c * o_1 x o_2 x ... x o_n.
+def _kron_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Term-by-term Kronecker product of ``(T, d_s, d_s)`` factor stacks."""
+    out = stacks[0]
+    for f in stacks[1:]:
+        t, a, b = len(out), out.shape[1], f.shape[1]
+        out = out[:, :, None, :, None] * f[:, None, :, None, :]
+        out = out.reshape(t, a * b, a * b)
+    return out
 
-    Factors must be Hermitian and consistently shaped per site; at least
-    two parties and one term.
+
+class ObservableSum:
+    """Sum of local-operator products c_t * o_1t x o_2t x ... x o_nt.
+
+    The terms are held stacked, as the sweep reads them: ``coefficients``
+    of shape (T,) and, per site s, one factor stack of shape (T, d_s, d_s)
+    in ``factor_stacks``.  Factors must be Hermitian and consistently
+    shaped per site; at least two parties and one term.
     """
 
     def __init__(
@@ -63,35 +80,44 @@ class ObservableSum:
     ) -> None:
         if not terms:
             raise ValueError("observable needs at least one term")
-        parsed = []
-        dims: tuple[int, ...] | None = None
-        for coeff, factors in terms:
-            coeff = float(coeff)
-            if not math.isfinite(coeff):
-                raise ValueError("coefficients must be finite")
-            ops = tuple(np.asarray(f, dtype=complex) for f in factors)
-            shape = tuple(op.shape[0] for op in ops)
-            for op in ops:
-                if op.ndim != 2 or op.shape[0] != op.shape[1]:
-                    raise ValueError("factors must be square matrices")
-                if np.abs(op - op.conj().T).max() > 1e-10:
-                    raise ValueError("factors must be Hermitian")
-            if dims is None:
-                dims = shape
-            elif shape != dims:
-                raise ValueError("terms disagree on local dimensions")
-            parsed.append((coeff, ops))
-        assert dims is not None
-        if len(dims) < 2:
+        sites = len(terms[0][1])
+        if any(len(factors) != sites for _, factors in terms):
+            raise ValueError("terms disagree on local dimensions")
+        try:
+            stacks = tuple(
+                np.stack([np.asarray(f[s], dtype=complex) for _, f in terms])
+                for s in range(sites)
+            )
+        except ValueError:
+            raise ValueError("terms disagree on local dimensions") from None
+        self._hold([c for c, _ in terms], stacks)
+
+    @classmethod
+    def _stacked(
+        cls, coefficients: Sequence[float], factor_stacks: tuple[np.ndarray, ...]
+    ) -> "ObservableSum":
+        """An observable of already stacked terms, validated as in ``__init__``."""
+        obs = cls.__new__(cls)
+        obs._hold(coefficients, factor_stacks)
+        return obs
+
+    def _hold(
+        self, coefficients: Sequence[float], factor_stacks: tuple[np.ndarray, ...]
+    ) -> None:
+        """Validate the stacked terms and keep them."""
+        coeffs = np.array(coefficients, dtype=float)
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
+        if len(factor_stacks) < 2:
             raise ValueError("observable needs at least two parties")
-        self.terms: tuple[tuple[float, tuple[np.ndarray, ...]], ...] = tuple(parsed)
-        self.dims: tuple[int, ...] = dims
-        # The same terms stacked for the sweep: coefficients (T,) and one
-        # factor stack (T, d, d) per site.
-        self.coefficients: np.ndarray = np.array([c for c, _ in parsed])
-        self.factor_stacks: tuple[np.ndarray, ...] = tuple(
-            np.stack([ops[s] for _, ops in parsed]) for s in range(len(dims))
-        )
+        for stack in factor_stacks:
+            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+                raise ValueError("factors must be square matrices")
+            if np.abs(stack - stack.conj().transpose(0, 2, 1)).max() > 1e-10:
+                raise ValueError("factors must be Hermitian")
+        self.coefficients: np.ndarray = coeffs
+        self.factor_stacks: tuple[np.ndarray, ...] = factor_stacks
+        self.dims: tuple[int, ...] = tuple(stack.shape[1] for stack in factor_stacks)
 
     @property
     def parties(self) -> int:
@@ -111,24 +137,23 @@ class ObservableSum:
             parsed.append((coeff, factors))
         return cls(parsed)
 
+    def term_values(self, state: "ProductState") -> np.ndarray:
+        """c_t prod_s <v_s|o_st|v_s> for each term t at a product state."""
+        values = self.coefficients
+        for stack, vec in zip(self.factor_stacks, state.vectors):
+            # (v^H o_t) v as one row times one column per term, so that each
+            # value has the bits of vec.conj() @ o_t @ vec
+            rows = (vec.conj() @ stack)[:, None, :]
+            values = values * (rows @ vec[:, None])[:, 0, 0].real
+        return values
+
     def expectation(self, state: "ProductState") -> float:
-        total = 0.0
-        for coeff, factors in self.terms:
-            prod = coeff
-            for op, vec in zip(factors, state.vectors):
-                prod *= float((vec.conj() @ op @ vec).real)
-            total += prod
-        return total
+        return float(self.term_values(state).sum())
 
     def dense(self) -> np.ndarray:
         """Full matrix; for cross-checks on a handful of parties only."""
-        total = np.zeros((int(np.prod(self.dims)),) * 2, dtype=complex)
-        for coeff, factors in self.terms:
-            term = np.array([[coeff]], dtype=complex)
-            for op in factors:
-                term = np.kron(term, op)
-            total += term
-        return total
+        products = _kron_stack(self.factor_stacks)
+        return (self.coefficients[:, None, None] * products).sum(axis=0)
 
     def blocked(self, partition: Sequence[Sequence[int]]) -> "ObservableSum":
         """Group parties into blocks, each becoming one site via Kronecker."""
@@ -136,16 +161,10 @@ class ObservableSum:
         flat = [p for b in blocks for p in b]
         if sorted(flat) != list(range(self.parties)) or not all(blocks):
             raise ValueError("invalid partition: blocks must cover all parties disjointly")
-        terms = []
-        for coeff, factors in self.terms:
-            grouped = []
-            for block in blocks:
-                op = np.array([[1.0]], dtype=complex)
-                for p in block:
-                    op = np.kron(op, factors[p])
-                grouped.append(op)
-            terms.append((coeff, grouped))
-        return ObservableSum(terms)
+        return ObservableSum._stacked(
+            self.coefficients,
+            tuple(_kron_stack([self.factor_stacks[p] for p in b]) for b in blocks),
+        )
 
 
 class ProductState:
@@ -161,12 +180,6 @@ class ProductState:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(v.size for v in self.vectors)
-
-    def as_vector(self) -> np.ndarray:
-        out = np.array([1.0], dtype=complex)
-        for v in self.vectors:
-            out = np.kron(out, v)
-        return out
 
 
 @dataclass(frozen=True)
@@ -440,12 +453,6 @@ class NEMultipartiteOptions:
     )
 
 
-def _string_observable(labels: Sequence[str], coeffs: np.ndarray) -> ObservableSum:
-    return ObservableSum.from_pauli_strings(
-        [(c, label) for c, label in zip(coeffs, labels)]
-    )
-
-
 def ne_multipartite(
     obs_support: Sequence[str],
     estimates: Sequence[float],
@@ -473,6 +480,8 @@ def ne_multipartite(
     if not labels:
         raise ValueError("empty observable support")
 
+    # the Pauli products, built once; each evaluation only reweights them
+    paulis = ObservableSum.from_pauli_strings([(1.0, label) for label in labels])
     rng = np.random.default_rng(opts.seed)
     k = len(labels)
     starts: list[np.ndarray] = []
@@ -491,7 +500,8 @@ def ne_multipartite(
         return -c if float(c @ est) < 0 else c
 
     def objective(c: np.ndarray, warm: ProductState | None):
-        res = spi_lambda_max(_string_observable(labels, c), opts.spi, initial=warm)
+        obs = ObservableSum._stacked(c, paulis.factor_stacks)
+        res = spi_lambda_max(obs, opts.spi, initial=warm)
         lam = res.lambda_max
         if lam <= 1e-12:
             return -math.inf, res
@@ -507,13 +517,7 @@ def ne_multipartite(
             continue
         for _ in range(opts.max_rounds):
             state = res.optimizer
-            site_values = np.array(
-                [
-                    _string_observable([lab], np.ones(1)).expectation(state)
-                    for lab in labels
-                ]
-            )
-            direction = est - f * site_values
+            direction = est - f * paulis.term_values(state)
             dn = float(np.linalg.norm(direction))
             if dn == 0.0:
                 break
@@ -525,7 +529,7 @@ def ne_multipartite(
         if f > best_f:
             best_f, best_c = f, c
 
-    final = spi_lambda_max(_string_observable(labels, best_c))
+    final = spi_lambda_max(ObservableSum._stacked(best_c, paulis.factor_stacks))
     lam = final.lambda_max
     if lam <= 1e-12:
         raise RuntimeError("normalization collapsed: lambda_max ~ 0 at the optimum")

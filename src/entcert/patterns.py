@@ -57,17 +57,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
-import numpy as np
-
-from .grids import AXES, CorrelatorGrid, MeasurementSet
-from .witness import (
-    CoefficientMatrix,
-    NEResult,
-    make_witness_pair,
-    ne_verdict,
-)
+from .grids import CorrelatorGrid, MeasurementSet
+from .witness import CoefficientMatrix, NEResult, make_witness_pair
 
 TAG_LINE_ROW = "LineRow"
 TAG_LINE_COL = "LineCol"
@@ -137,10 +130,6 @@ def lshape_norm(alpha: float, beta: float, gamma: float) -> LShapeNorm:
     return LShapeNorm(total, lam)
 
 
-def _cells_to_set(cells: tuple[tuple[int, int], ...]) -> MeasurementSet:
-    return MeasurementSet(tuple((AXES[i], AXES[j]) for i, j in sorted(cells)))
-
-
 _CANON_SINGLE = MeasurementSet.parse("XX")
 _CANON_LINE_ROW = MeasurementSet.parse("XX,XY")
 _CANON_LINE_COL = MeasurementSet.parse("XX,YX")
@@ -197,20 +186,17 @@ def _find_permutations(
     raise AssertionError("canonical representative does not reach the set")
 
 
-def classify(mset: MeasurementSet | Sequence[tuple[int, int]]) -> PatternClass:
-    """Pattern class of a measurement set, given by its labels or its cells.
+def classify(cells: Iterable[tuple[int, int]]) -> PatternClass:
+    """Pattern class of a qubit support, given as any iterable of cells.
 
     Sets of more than three correlators are classified General (no closed
     form).  Ties between witnessing permutation pairs are broken by the
     lexicographically smallest pair, preferring the untransposed embedding.
     """
-    if isinstance(mset, MeasurementSet):
-        mset = mset.indices()
-    cells = tuple(sorted(mset))
+    mset = MeasurementSet(tuple(sorted(cells)))
+    cells = mset.cells
     if len(cells) > 3:
-        return PatternClass(
-            TAG_GENERAL, _cells_to_set(cells), (0, 1, 2), (0, 1, 2), False
-        )
+        return PatternClass(TAG_GENERAL, mset, (0, 1, 2), (0, 1, 2), False)
     tag, canonical, transposed = _tag_cells(cells)
     pa, pb = _find_permutations(canonical, cells, transposed)
     return PatternClass(tag, canonical, pa, pb, transposed)
@@ -234,8 +220,6 @@ def _result(
     return NEResult(
         value=value,
         coefficients=matrix,
-        sign_branch="+",
-        verdict=ne_verdict(value),
         witness=make_witness_pair(matrix) if not matrix.is_zero() else None,
     )
 
@@ -252,13 +236,14 @@ def _lines_result(values: dict[tuple[int, int], float]) -> NEResult:
     value = 0.0
     coeffs: dict[tuple[int, int], float] = {}
     for line in lines.values():
-        vec = np.array([values[c] for c in line])
-        nrm = float(np.linalg.norm(vec))
+        vec = [values[c] for c in line]
+        # hypot scales, so no square underflows
+        nrm = math.hypot(*vec)
         value += nrm
         if nrm == 0.0:
             unit = [1.0] + [0.0] * (len(line) - 1)
         else:
-            unit = (vec / nrm).tolist()
+            unit = [x / nrm for x in vec]
         coeffs.update(zip(line, unit))
     return _result(value, cells, tuple(coeffs[c] for c in cells))
 
@@ -294,18 +279,19 @@ def _lshape_result(values: dict[tuple[int, int], float]) -> NEResult:
     return _result(value, cells, tuple(by_cell[cell] for cell in cells))
 
 
-def ne_closed_form(mset: MeasurementSet, g: CorrelatorGrid) -> NEResult:
+def ne_closed_form(cells: Iterable[tuple[int, int]], g: CorrelatorGrid) -> NEResult:
     """Exact optimal normalized estimation for 1-3 measured correlators.
 
-    Raises for General patterns (no closed form) and for correlators missing
-    from the grid.
+    ``cells`` is any iterable of qubit cells, a ``MeasurementSet`` among
+    them.  Raises for General patterns (no closed form) and for correlators
+    missing from the grid.
     """
     if g.dims != (2, 2):
         raise ValueError("closed forms apply to qubit grids only")
-    pattern = classify(mset)
+    cells = tuple(sorted(cells))
+    pattern = classify(cells)
     if pattern.tag == TAG_GENERAL:
         raise ValueError("no closed form for this pattern; use the general solver")
-    cells = tuple(sorted(mset.indices()))
     values = _grid_values(g, cells)
     if pattern.tag == TAG_L_SHAPE:
         return _lshape_result(values)
@@ -329,15 +315,14 @@ def enumerate_orbits(
     all_cells = [(i, j) for i in range(3) for j in range(3)]
     groups: dict[tuple[str, tuple], list[MeasurementSet]] = {}
     for combo in itertools.combinations(all_cells, k):
-        mset = _cells_to_set(tuple(combo))
+        mset = MeasurementSet(combo)
         pattern = classify(mset)
-        key = (pattern.tag, pattern.canonical.pairs)
+        key = (pattern.tag, pattern.canonical.cells)
         groups.setdefault(key, []).append(mset)
     out = []
-    for (tag, canonical_pairs), members in groups.items():
-        canonical = MeasurementSet(canonical_pairs)
-        rep = classify(canonical)
-        members_sorted = tuple(sorted(members, key=lambda m: m.pairs))
+    for (tag, canonical_cells), members in groups.items():
+        rep = classify(canonical_cells)
+        members_sorted = tuple(sorted(members, key=lambda m: m.cells))
         out.append((rep, members_sorted))
-    out.sort(key=lambda item: (len(item[1]), item[0].canonical.pairs))
+    out.sort(key=lambda item: (len(item[1]), item[0].canonical.cells))
     return out

@@ -75,12 +75,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from .grids import CorrelatorGrid, MeasurementSet
-from .witness import CoefficientMatrix, NEResult, make_witness_pair, ne_verdict
+from .grids import CorrelatorGrid
+from .witness import CoefficientMatrix, NEResult, make_witness_pair
 
 _BACKTRACK = 0.5
 _CENTERED_DECREMENT = 1e-4  # squared Newton decrement: lambda <= 0.01
@@ -316,17 +316,6 @@ def _maximize_stack(
         c = trial
 
 
-def _support_of(
-    g: CorrelatorGrid,
-    measurements: MeasurementSet | Sequence[tuple[int, int]] | None,
-) -> tuple[tuple[int, int], ...]:
-    if isinstance(measurements, MeasurementSet):
-        return tuple(sorted(measurements.indices()))
-    if measurements is None:
-        return g.measured
-    return tuple(sorted(tuple(p) for p in measurements))
-
-
 def _result(
     dims: tuple[int, int],
     support: tuple[tuple[int, int], ...],
@@ -338,23 +327,19 @@ def _result(
     if path is None:
         coeffs = tuple(t if k == 0 else 0.0 for k in range(len(support)))
         matrix = CoefficientMatrix(dims, support, coeffs)
-        return NEResult(
-            value=0.0,
-            coefficients=matrix,
-            sign_branch="+",
-            verdict=ne_verdict(0.0),
-            witness=make_witness_pair(matrix),
-        )
+        return NEResult(0.0, matrix, witness=make_witness_pair(matrix))
     c, steps, gap = path
-    # polish onto the boundary, where the optimum is attained
-    centered = CoefficientMatrix(dims, support, tuple(c))
+    # polish onto the boundary, where the optimum is attained.  On data so
+    # small that the path never leaves c = 0, the data scaled to a largest
+    # entry of 1 are the direction instead: any feasible c gives a lower
+    # bound, and the scaling keeps t / norm finite on subnormal data.
+    direction = c if c.any() else v / np.abs(v).max()
+    centered = CoefficientMatrix(dims, support, tuple(direction))
     matrix = centered.scaled(t / centered.operator_norm())
     value = abs(float(v @ np.array(matrix.coeffs)))
     return NEResult(
         value=value,
         coefficients=matrix,
-        sign_branch="+",
-        verdict=ne_verdict(value),
         iterations=steps,
         gap=gap,
         witness=make_witness_pair(matrix),
@@ -363,13 +348,14 @@ def _result(
 
 def ne_solve(
     g: CorrelatorGrid,
-    measurements: MeasurementSet | Sequence[tuple[int, int]] | None = None,
+    measurements: Iterable[tuple[int, int]] | None = None,
     options: SolverOptions | None = None,
 ) -> NEResult:
     """Optimal normalized estimation over the measured (or given) cells.
 
-    ``measurements`` restricts the optimization to a subset of the grid; by
-    default every measured correlator is used.  Values > 1 certify
+    ``measurements``, any iterable of cells (a ``MeasurementSet`` among
+    them), restricts the optimization to a subset of the grid; by default
+    every measured correlator is used.  Values > 1 certify
     entanglement.  The result carries the optimizing coefficients (rescaled
     onto the exact constraint boundary), the Newton-step count, the final
     duality-gap bound, and the induced mirrored witness pair.  Raises
@@ -380,7 +366,7 @@ def ne_solve(
 
 def ne_solve_batch(
     grids: Sequence[CorrelatorGrid],
-    measurements: MeasurementSet | Sequence[tuple[int, int]] | None = None,
+    measurements: Iterable[tuple[int, int]] | None = None,
     options: SolverOptions | None = None,
 ) -> list[NEResult]:
     """``ne_solve`` for each grid, solved together as one stack.
@@ -395,10 +381,13 @@ def ne_solve_batch(
     dims = grids[0].dims
     if any(g.dims != dims for g in grids):
         raise ValueError("stacked grids must share their local dimensions")
-    supports = {_support_of(g, measurements) for g in grids}
-    if len(supports) > 1:
-        raise ValueError("stacked grids must share their support")
-    support = supports.pop()
+    if measurements is None:
+        supports = {g.measured for g in grids}
+        if len(supports) > 1:
+            raise ValueError("stacked grids must share their support")
+        support = supports.pop()
+    else:
+        support = tuple(sorted((int(i), int(j)) for i, j in measurements))
     values = np.array([[g.value_at(cell) for cell in support] for g in grids])
     da, db = dims
     m, n = da * da - 1, db * db - 1
@@ -418,9 +407,9 @@ def ne_solve_batch(
 
 @dataclass(frozen=True)
 class MonotoneReport:
-    """Normalized estimation along a nested chain of measurement sets."""
+    """Normalized estimation along a nested chain of supports."""
 
-    measurement_sets: tuple[MeasurementSet, ...]
+    measurement_sets: tuple[Collection[tuple[int, int]], ...]
     results: tuple[NEResult, ...]
     monotone: bool
 
@@ -430,7 +419,7 @@ class MonotoneReport:
 
 
 def ne_monotone_report(
-    chain: Sequence[MeasurementSet],
+    chain: Sequence[Collection[tuple[int, int]]],
     g: CorrelatorGrid,
     options: SolverOptions | None = None,
 ) -> MonotoneReport:
@@ -438,14 +427,15 @@ def ne_monotone_report(
 
     Adding correlators can only widen the feasible coefficient supports, so
     the optimum is nondecreasing; a violation beyond solver slack would
-    expose an inconsistent grid or a solver failure.  The chain must be
+    expose an inconsistent grid or a solver failure.  Each support is a
+    collection of cells, such as a ``MeasurementSet``.  The chain must be
     nested, else ValueError.
     """
     if not chain:
         raise ValueError("empty measurement chain")
     sets = tuple(chain)
     for prev, nxt in zip(sets, sets[1:]):
-        if not set(prev.indices()) <= set(nxt.indices()):
+        if not set(prev) <= set(nxt):
             raise ValueError("measurement sets must be nested")
     results = tuple(ne_solve(g, s, options) for s in sets)
     monotone = all(

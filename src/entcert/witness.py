@@ -197,17 +197,26 @@ class NEResult:
 
     ``value`` is the optimal |sum c_ij g_ij| with the scaled operator norm
     of the coefficients pinned to the constraint boundary; entanglement is
-    certified exactly when the value exceeds 1.  ``iterations`` and ``gap``
-    are solver diagnostics (0 for closed forms).
+    certified exactly when the value exceeds 1, and ``verdict`` says so
+    through ``ne_verdict``.  ``iterations`` and ``gap`` are solver
+    diagnostics (0 for closed forms).
     """
 
     value: float
     coefficients: CoefficientMatrix
-    sign_branch: str
-    verdict: str
     iterations: int = 0
     gap: float = 0.0
     witness: MirroredWitnessPair | None = None
+
+    @property
+    def verdict(self) -> str:
+        return ne_verdict(self.value)
+
+    @property
+    def sign_branch(self) -> str:
+        """Always '+': C is feasible exactly when -C is, so the '-' branch
+        of |sum c_ij g_ij| has the same optimum."""
+        return "+"
 
 
 def ne_verdict(value: float) -> str:

@@ -307,6 +307,20 @@ def test_solver_failure_has_its_own_exit_code(capsys, tmp_path):
         assert err == "error: solver failure: interior-point iteration limit exceeded\n"
 
 
+def test_data_below_roundoff_are_undetected_not_a_crash(capsys):
+    grid = '{"dims":[2,2],"correlators":{"XX":1e-16,"YY":1e-16}}'
+    rc, out, err = _run(capsys, ["verify", "--grid", grid])
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["result"]["ne"] == 2e-16
+    # the data at theta = +-pi are +-1.2e-16 on this support
+    argv = ["sweep", "--family", "chi3", "--from=-pi", "--to=pi"]
+    rc, out, err = _run(capsys, argv + ["--set", "XY,YX,ZZ,XZ,ZX"])
+    assert (rc, err) == (0, "")
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 19
+    assert rows[0].endswith(",undetected") and rows[-1].endswith(",undetected")
+
+
 def test_sweep_json_envelope_and_determinism(capsys):
     argv = [
         "sweep",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entcert import solver
+from entcert import patterns, solver
 from entcert.grids import (
     AXES,
     CorrelatorGrid,
@@ -206,6 +207,39 @@ def test_measurement_set_validation():
     ms = MeasurementSet.parse("xx, zz")
     assert ms.labels() == ("XX", "ZZ")
     assert ms.indices() == ((0, 0), (2, 2))
+
+
+# a full qubit grid, its negation, and a three-cell support in unsorted order
+_FULL = CorrelatorGrid.from_labels(
+    {a + b: 0.1 * k - 0.4 for k, (a, b) in enumerate(itertools.product(AXES, AXES))}
+)
+_NEGATED = CorrelatorGrid((2, 2), {cell: -v for cell, v in _FULL.values.items()})
+
+
+def _solved(r):
+    return (r.value, r.coefficients.support, r.coefficients.coeffs, r.iterations, r.gap)
+
+
+_ENTRY_POINTS = {
+    "classify": patterns.classify,
+    "restrict": lambda s: restrict(_FULL, s),
+    "ne_closed_form": lambda s: _solved(patterns.ne_closed_form(s, _FULL)),
+    "ne_solve": lambda s: _solved(solver.ne_solve(_FULL, s)),
+    "ne_solve_batch": lambda s: [
+        _solved(r) for r in solver.ne_solve_batch([_FULL, _NEGATED], s)
+    ],
+    "ne_monotone_report": lambda s: solver.ne_monotone_report(
+        [MeasurementSet.parse("XY"), s], _FULL
+    ).values,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_support_entry_points_take_any_iterable_of_cells(name):
+    entry = _ENTRY_POINTS[name]
+    mset = MeasurementSet.parse("ZX,XY,YY")
+    cells = list(mset.cells)
+    assert entry(mset) == entry(cells) == entry(cells[::-1])
 
 
 def test_grid_requires_dimensions_at_least_two():

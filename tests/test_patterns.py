@@ -94,7 +94,7 @@ def test_classify_takes_cells_in_any_order():
     cells = [(i, j) for i in range(3) for j in range(3)]
     for k in range(1, 10):
         for combo in itertools.combinations(cells, k):
-            mset = MeasurementSet(tuple((AXES[i], AXES[j]) for i, j in combo))
+            mset = MeasurementSet(combo)
             assert patterns.classify(combo[::-1]) == patterns.classify(mset)
 
 
@@ -221,7 +221,7 @@ def test_closed_form_invariant_under_relabeling():
             (2, 2),
             {(int(pa[i]), int(pb[j])): v for (i, j), v in zip(cells, vals)},
         )
-        mm = MeasurementSet(tuple((AXES[i], AXES[j]) for i, j in moved))
+        mm = MeasurementSet(moved)
         r1 = patterns.ne_closed_form(mm, gm)
         assert r1.value == pytest.approx(r0.value, abs=1e-9)
 
@@ -240,6 +240,17 @@ def test_closed_form_zero_grid():
     r = patterns.ne_closed_form(MeasurementSet.parse("XX,XY,YX"), g)
     assert r.value == 0.0
     assert r.verdict == "undetected"
+
+
+def test_line_norms_do_not_underflow():
+    g = _grid({"XX": -1e-200, "YY": 1e-200})
+    r = patterns.ne_closed_form(MeasurementSet.parse("XX,YY"), g)
+    assert r.value == 2e-200
+    assert r.coefficients.coeffs == (-1.0, 1.0)
+    g = _grid({"XX": 3e-200, "XY": -4e-200})
+    line = patterns.ne_closed_form(MeasurementSet.parse("XX,XY"), g)
+    assert line.value == pytest.approx(5e-200, rel=1e-15)
+    assert line.coefficients.coeffs == pytest.approx((0.6, -0.8), rel=1e-15)
 
 
 # -- orbits --------------------------------------------------------------------
@@ -266,8 +277,8 @@ def test_orbit_members_partition_and_detect_flags():
     seen = set()
     for rep, members in orbits:
         for m in members:
-            assert m.pairs not in seen
-            seen.add(m.pairs)
+            assert m.cells not in seen
+            seen.add(m.cells)
         flags = {patterns.classify(m).detects for m in members}
         assert flags == {rep.detects}
     assert len(seen) == math.comb(9, 3)

@@ -459,3 +459,27 @@ def test_active_block_is_feasible_exactly_inside_the_norm_ball():
             assert (block.cholesky_stack(c[None]) is not None) == inside
             cases += 1
     assert cases > 150
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-16, 1e-300])
+def test_data_too_small_to_move_the_path_give_a_feasible_lower_bound(scale):
+    # the path ends at c = 0 here: the scalar loop gets one grid, the stacked
+    # loop two
+    tiny = solver.ne_solve(_grid({"XX": scale, "YY": -scale}))
+    assert tiny.iterations == 0
+    assert tiny.value == 2 * scale
+    assert tiny.coefficients.coeffs == (1.0, -1.0)
+    assert tiny.verdict == "undetected"
+    shapes = [
+        {"XX": 1.0, "YY": -1.0, "XY": 0.5, "ZZ": 1.0},
+        {"XX": -1.0, "YY": 1.0, "XY": 1.0, "ZZ": 0.25},
+    ]
+    grids = [_grid({k: scale * v for k, v in s.items()}) for s in shapes]
+    for shape, g, r in zip(shapes, grids, solver.ne_solve_batch(grids)):
+        optimum = solver.ne_solve(_grid(shape)).value
+        coeffs = dict(zip(r.coefficients.support, r.coefficients.coeffs))
+        assert r.coefficients.operator_norm() <= 1.0 + 1e-12
+        attained = abs(sum(c * g.value_at(cell) for cell, c in coeffs.items()))
+        assert r.value == pytest.approx(attained, rel=1e-12)
+        assert 0.0 < r.value <= scale * optimum * (1.0 + 1e-9)
+        assert r.verdict == "undetected"
