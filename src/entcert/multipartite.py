@@ -15,11 +15,15 @@ single-site optimum.  Sweeping that update cyclically over the sites -
 separability power iteration - ascends monotonically and converges to a
 (local) maximum; a multistart over local basis eigenvectors plus random
 product states is used to escape poor basins.  All starts of one search
-advance in lockstep: each site update is one batched eigensolve over the ``(S, d, d)`` effective
-operators of the S starts still active, and a start leaves the active set
-at its first sweep that gains less than the tolerance.  No
-global-optimality claim is attached to the outcome; results carry restart
-counts and convergence flags instead.
+advance in lockstep, and a start leaves the active set at its first sweep
+that gains less than the tolerance.  Qubit sites are swept in Bloch
+coordinates: a qubit's effective operator is g 1 + h . sigma, whose top
+eigenvector has Bloch vector h / |h|, so each update is that closed form
+over the S starts still active, and the spinors are formed once, at the
+end of the search.  Every other site update is one batched eigensolve
+over the ``(S, d, d)`` effective operators.  No global-optimality claim is
+attached to the outcome; results carry restart counts and convergence
+flags instead.
 
 k-separable relaxations reuse the same iteration with sites grouped into
 blocks: a block behaves as a single site of the product dimension and its
@@ -27,7 +31,7 @@ update takes the top eigenvector of the block-reduced operator.  A
 block's factor stack is the term-by-term Kronecker product of its sites'
 stacks.
 
-``ne_multipartite`` turns lambda_max into a certification statement: over
+``ne_multipartite`` turns lambda_max into a detection test: over
 coefficient vectors c, oriented so that sum_k c_k e_k >= 0, it maximizes
 sum_k c_k e_k / lambda_max(sum_k c_k O_k) for measured estimates e_k.  The
 outer problem is non-convex; the implementation alternates a closed-form
@@ -35,7 +39,9 @@ coefficient step against the current optimizer state with full
 re-evaluations, multistarted from several coefficient initializations,
 and reports the best local optimum found.  The Pauli products are
 stacked once per call, and each evaluation only reweights them.  Values
-above 1 are incompatible with fully separable states.
+above 1 are incompatible with fully separable states provided lambda_max
+was not underestimated; SPI's value is a lower bound on the maximum, so
+the verdict is heuristic, not certified.
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ from .witness import ne_verdict
 _UNIT_TOL = 1e-12
 _DEGENERACY_TOL = 1e-10
 _NEGLIGIBLE_PROJECTION = 1e-8
+#: I, X, Y, Z: the basis in which qubit factors are read in Bloch coordinates.
+_PAULI_BASIS = np.stack([PAULI[a] for a in "IXYZ"])
 
 
 def _kron_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -270,18 +278,15 @@ def _site_expectations(factors: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("...i,tij,...j->...t", vecs.conj(), factors, vecs).real
 
 
-def _site_operator(
-    coeffs: np.ndarray,
-    factors: np.ndarray,
-    expectations: Sequence[np.ndarray],
-    site: int,
+def _site_weights(
+    coeffs: np.ndarray, expectations: Sequence[np.ndarray], site: int
 ) -> np.ndarray:
-    """sum_t c_t prod_{s != site} e_{s,t} o_{site,t} from held expectations."""
+    """c_t prod_{s != site} e_{s,t}: the weight of each term at ``site``."""
     weights = coeffs
     for s, e in enumerate(expectations):
         if s != site:
             weights = weights * e
-    return np.einsum("...t,tij->...ij", weights, factors)
+    return weights
 
 
 def _effective_operator(
@@ -291,9 +296,8 @@ def _effective_operator(
     expectations = [
         _site_expectations(f, np.asarray(v)) for f, v in zip(obs.factor_stacks, vectors)
     ]
-    return _site_operator(
-        obs.coefficients, obs.factor_stacks[site], expectations, site
-    )
+    weights = _site_weights(obs.coefficients, expectations, site)
+    return np.einsum("...t,tij->...ij", weights, obs.factor_stacks[site])
 
 
 def _top_eigenvector(eff: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -322,6 +326,86 @@ def _top_eigenvector(eff: np.ndarray, current: np.ndarray) -> np.ndarray:
     return np.where(kept, projection / np.where(kept, norm, 1.0), fallback)
 
 
+def _bloch_spinors(r: np.ndarray) -> np.ndarray:
+    """Unit spinors ``(S, 2)`` whose Bloch vectors are the rows of ``r``.
+
+    The entry of larger modulus, sqrt((1 + |z|) / 2), is real and positive:
+    the upper one where z >= 0, the lower one where z < 0.
+    """
+    x, y, z = r.T
+    big = np.sqrt((1.0 + np.abs(z)) / 2.0)
+    small = (x + 1j * y) / (2.0 * big)
+    upper = (z >= 0.0)[:, None]
+    return np.where(
+        upper, np.stack([big, small], axis=-1), np.stack([small.conj(), big], axis=-1)
+    )
+
+
+class _QubitSite:
+    """A qubit site held as real unit Bloch vectors ``(S, 3)``.
+
+    Each factor reads o_t = f0_t 1 + f_t . sigma, with f0_t = tr(o_t) / 2 and
+    f_t = tr(o_t sigma) / 2, so <v|o_t|v> = f0_t + r . f_t.  An effective
+    operator g 1 + h . sigma has top eigenvalue g + |h| and, unless the two
+    eigenvalues tie, the top eigenvector of Bloch vector h / |h|.
+    """
+
+    def __init__(self, factors: np.ndarray) -> None:
+        # rows (f0_t, f_t), so that one product gives (g, h); the
+        # expectations read f0 and f, kept contiguous, separately
+        self.reduced = np.einsum("aji,tij->ta", _PAULI_BASIS, factors).real / 2.0
+        self.f0 = self.reduced[:, 0].copy()
+        self.f = self.reduced[:, 1:].T.copy()
+
+    @staticmethod
+    def state(vecs: np.ndarray) -> np.ndarray:
+        return _site_expectations(_PAULI_BASIS[1:], vecs)
+
+    def expectations(self, r: np.ndarray) -> np.ndarray:
+        return self.f0 + r @ self.f
+
+    def update(self, weights: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The rule of ``_top_eigenvector`` on g 1 + h . sigma.
+
+        The eigenvalues g +- |h| tie when 2|h| is within the degeneracy
+        tolerance; the projection of ``r``'s spinor onto the tied C^2 is
+        that spinor, so ``r`` stays.  Otherwise the top eigenvector is
+        h / |h|, whatever its overlap with ``r``.
+        """
+        gh = weights @ self.reduced
+        h = gh[:, 1:]
+        size = np.sqrt(np.einsum("sa,sa->s", h, h))
+        top = gh[:, 0] + size
+        moved = 2.0 * size > _DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
+        if moved.all():
+            return h / size[:, None]
+        return np.where(moved[:, None], h / np.where(moved, size, 1.0)[:, None], r)
+
+    vectors = staticmethod(_bloch_spinors)
+
+
+class _VectorSite:
+    """A site of any dimension held as complex unit vectors ``(S, d)``."""
+
+    def __init__(self, factors: np.ndarray) -> None:
+        self.factors = factors
+
+    @staticmethod
+    def state(vecs: np.ndarray) -> np.ndarray:
+        return vecs
+
+    def expectations(self, vecs: np.ndarray) -> np.ndarray:
+        return _site_expectations(self.factors, vecs)
+
+    def update(self, weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        eff = np.einsum("...t,tij->...ij", weights, self.factors)
+        return _top_eigenvector(eff, vecs)
+
+    @staticmethod
+    def vectors(vecs: np.ndarray) -> np.ndarray:
+        return vecs
+
+
 def _term_values(coeffs: np.ndarray, expectations: Sequence[np.ndarray]) -> np.ndarray:
     products = coeffs
     for e in expectations:
@@ -331,7 +415,8 @@ def _term_values(coeffs: np.ndarray, expectations: Sequence[np.ndarray]) -> np.n
 
 def _require_unit(vectors: Sequence[np.ndarray]) -> None:
     for v in vectors:
-        if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > _UNIT_TOL):
+        norms = np.sqrt(np.einsum("...i,...i->...", v.conj(), v).real)
+        if (np.abs(norms - 1.0) > _UNIT_TOL).any():
             raise ValueError("product-state factors must be unit vectors")
 
 
@@ -340,45 +425,55 @@ def _lockstep_sweeps(
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Sweep every start to convergence at once.
 
-    ``vectors`` holds one ``(S, d)`` array per site.  A start leaves the
-    active set at the first sweep that gains less than ``opts.tol``; the
-    rest advance together through one stacked eigensolve per site.
-    Returns the final values, vectors and convergence flags per start.
+    ``vectors`` holds one ``(S, d)`` array per site.  Each site holds its
+    starts in its own state form: Bloch vectors on qubits (``_QubitSite``),
+    the vectors themselves elsewhere (``_VectorSite``).  A site maps vectors
+    to states (``state``), states to per-term expectations
+    (``expectations``), term weights to the next states (``update``) and
+    states back to vectors (``vectors``).  A start leaves the active set
+    at the first sweep that gains less than ``opts.tol``; the rest advance
+    together.  Returns the final values, vectors and convergence flags per
+    start.
     """
-    coeffs, stacks = obs.coefficients, obs.factor_stacks
-    count = vectors[0].shape[0]
+    coeffs = obs.coefficients
+    sites = [
+        _QubitSite(f) if f.shape[1] == 2 else _VectorSite(f) for f in obs.factor_stacks
+    ]
+    _require_unit(vectors)
+    states = [site.state(v) for site, v in zip(sites, vectors)]
+    count = states[0].shape[0]
     values = np.empty(count)
     converged = np.zeros(count, dtype=bool)
-    out = [v.copy() for v in vectors]
+    out = [x.copy() for x in states]
     live = np.arange(count)
-    vectors = list(vectors)
-    _require_unit(vectors)
-    expectations = [_site_expectations(f, v) for f, v in zip(stacks, vectors)]
+    expectations = [site.expectations(x) for site, x in zip(sites, states)]
     value = _term_values(coeffs, expectations)
     for _ in range(opts.max_sweeps):
-        for site in range(obs.parties):
-            eff = _site_operator(coeffs, stacks[site], expectations, site)
-            vectors[site] = _top_eigenvector(eff, vectors[site])
-            expectations[site] = _site_expectations(stacks[site], vectors[site])
-        _require_unit(vectors)
+        for k, site in enumerate(sites):
+            states[k] = site.update(_site_weights(coeffs, expectations, k), states[k])
+            expectations[k] = site.expectations(states[k])
+        _require_unit(states)
         new_value = _term_values(coeffs, expectations)
         done = new_value - value < opts.tol
+        value = new_value
+        if not done.any():
+            continue
         rows = live[done]
-        for v, o in zip(vectors, out):
-            o[rows] = v[done]
-        values[rows] = new_value[done]
+        for x, o in zip(states, out):
+            o[rows] = x[done]
+        values[rows] = value[done]
         converged[rows] = True
         keep = ~done
-        live, value = live[keep], new_value[keep]
+        live, value = live[keep], value[keep]
         if live.size == 0:
             break
-        vectors = [v[keep] for v in vectors]
+        states = [x[keep] for x in states]
         expectations = [e[keep] for e in expectations]
     else:
-        for v, o in zip(vectors, out):
-            o[live] = v
+        for x, o in zip(states, out):
+            o[live] = x
         values[live] = value
-    return values, out, converged
+    return values, [site.vectors(o) for site, o in zip(sites, out)], converged
 
 
 def spi_lambda_max(
@@ -393,9 +488,14 @@ def spi_lambda_max(
     never decreases the objective.  All starts advance in lockstep, each
     stopping at its own first sweep that gains less than ``opts.tol``; the
     first start reaching the best value is reported.  ``initial`` adds one
-    extra start, e.g. to warm-start from a previous optimizer.
+    extra start, e.g. to warm-start from a previous optimizer; its dims
+    must be the observable's.
     """
     opts = opts or SPIOptions()
+    if initial is not None and initial.dims != obs.dims:
+        raise ValueError(
+            f"initial state has dims {initial.dims}, the observable has dims {obs.dims}"
+        )
     starts = _starts(obs.dims, opts, initial)
     values, vectors, converged = _lockstep_sweeps(obs, starts, opts)
     best = int(np.argmax(values))
@@ -425,11 +525,12 @@ def k_separable_lambda_max(
 
 @dataclass(frozen=True)
 class MultipartiteNEResult:
-    """Outcome of the coefficient search; a certified local optimum only.
+    """Outcome of the coefficient search: a heuristic local optimum.
 
-    ``value`` > 1 is incompatible with fully separable states, assuming
-    lambda_max was not underestimated; ``spi`` holds the final honest
-    re-evaluation at the reported coefficients.
+    Nothing here is certified: lambda_max is SPI's value, a lower bound on
+    the product-state maximum.  ``value`` > 1 is incompatible with fully
+    separable states only if lambda_max was not underestimated; ``spi``
+    holds the final re-evaluation at the reported coefficients.
     """
 
     value: float

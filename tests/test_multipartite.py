@@ -302,6 +302,84 @@ def test_capped_starts_keep_an_optimal_vector_on_a_zero_operator():
     assert res.lambda_max == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        [np.array([1.0, 0.0])] * 4,
+        [np.array([1.0, 0.0])] * 2,
+        [np.array([1.0, 0.0, 0.0])] + [np.array([1.0, 0.0])] * 2,
+    ],
+    ids=["four_qubits", "two_qubits", "qutrit_first"],
+)
+def test_initial_state_must_match_the_observable_dims(vectors):
+    obs = mp.ObservableSum.from_pauli_strings([(1.0, "ZZZ")])
+    initial = mp.ProductState(vectors)
+    with pytest.raises(ValueError) as err:
+        mp.spi_lambda_max(obs, initial=initial)
+    assert str(initial.dims) in str(err.value)
+    assert "(2, 2, 2)" in str(err.value)
+
+
+SIGMA = np.array([PAULI[a] for a in "XYZ"])
+
+
+def _bloch_of(spinors):
+    return np.einsum("si,aij,sj->sa", spinors.conj(), SIGMA, spinors).real
+
+
+def test_bloch_spinors_are_unit_and_give_back_their_bloch_vectors():
+    rng = np.random.default_rng(71)
+    axes = np.vstack([np.eye(3), -np.eye(3)])  # both poles and four equator points
+    c = math.sqrt(0.5)
+    near_equator = np.array(
+        [[1.0, 0.0, 1e-17], [1.0, 0.0, -1e-17], [0.0, -1.0, -1e-17], [c, c, -1e-17]]
+    )
+    random = rng.standard_normal((200, 3))
+    random /= np.linalg.norm(random, axis=1, keepdims=True)
+    r = np.vstack([axes, [[c, -c, 0.0]], near_equator, random])
+    spinors = mp._bloch_spinors(r)
+    assert spinors.shape == (len(r), 2)
+    assert np.abs(np.linalg.norm(spinors, axis=1) - 1.0).max() <= 1e-14
+    assert np.abs(_bloch_of(spinors) - r).max() <= 1e-14
+
+
+def test_qubit_update_is_the_top_eigenvector_rule():
+    # with the factors X, Y, Z the weights are h itself and g = 0
+    site = mp._QubitSite(SIGMA)
+    rng = np.random.default_rng(73)
+    h = rng.standard_normal((50, 3))
+    r = rng.standard_normal((50, 3))
+    r /= np.linalg.norm(r, axis=1, keepdims=True)
+    updated = site.update(h, r)
+    assert np.abs(updated - h / np.linalg.norm(h, axis=1, keepdims=True)).max() <= 1e-15
+    # the eigensolver path on g 1 + h . sigma lands on the same Bloch vectors
+    eff = np.einsum("sa,aij->sij", h, SIGMA)
+    top = mp._top_eigenvector(eff, mp._bloch_spinors(r))
+    assert np.abs(_bloch_of(top) - updated).max() <= 1e-14
+
+
+def test_qubit_update_moves_an_antipodal_vector_to_the_top():
+    # the current spinor has no overlap with the top eigenvector: the
+    # eigensolver path falls back to that eigenvector, the Bloch path to h/|h|
+    site = mp._QubitSite(SIGMA)
+    h = np.array([[0.0, 0.0, 2.0], [0.3, -0.4, 0.0], [1.0, 2.0, -2.0]])
+    top = h / np.linalg.norm(h, axis=1, keepdims=True)
+    updated = site.update(h, -top)
+    assert np.abs(updated - top).max() <= 1e-15
+    eff = np.einsum("sa,aij->sij", h, SIGMA)
+    fallback = mp._top_eigenvector(eff, mp._bloch_spinors(-top))
+    assert np.abs(_bloch_of(fallback) - top).max() <= 1e-14
+
+
+def test_qubit_update_keeps_the_vector_on_a_tied_operator():
+    # zero, a multiple of the identity, and h below the degeneracy tolerance
+    factors = np.array([PAULI["I"], PAULI["X"], PAULI["Z"]])
+    site = mp._QubitSite(factors)
+    weights = np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [-3.0, 1e-12, -1e-12]])
+    r = np.array([[0.0, 0.6, 0.8], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    assert np.array_equal(site.update(weights, r), r)
+
+
 def _reference_sweep(obs, vectors, opts):
     """One start at a time, unbatched: the sweep as a plain loop."""
     vectors = list(vectors)
@@ -331,6 +409,13 @@ def _lockstep_cases():
     cases = [(f"qubits{k}", _random_local_observable(rng, paulis, 3)) for k in range(3)]
     cases.append(("qutrits", _random_local_observable(rng, gell_mann_basis(3).operators, 2)))
     cases.append(("blocked", _random_local_observable(rng, paulis, 3).blocked([[0, 1], [2]])))
+    # qubit, qutrit, qubit: Bloch and eigensolver updates in one sweep
+    per_site = [paulis, gell_mann_basis(3).operators, paulis]
+    mixed = []
+    for _ in range(4):
+        factors = [ops[int(rng.integers(len(ops)))] for ops in per_site]
+        mixed.append((float(rng.uniform(-1, 1)), factors))
+    cases.append(("mixed", mp.ObservableSum(mixed)))
     return cases
 
 
