@@ -181,7 +181,8 @@ class ProductState:
     def __init__(self, vectors: Sequence[np.ndarray]) -> None:
         vecs = tuple(np.asarray(v, dtype=complex).ravel() for v in vectors)
         for v in vecs:
-            if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
+            # written so that a NaN norm fails it too
+            if not abs(np.linalg.norm(v) - 1.0) <= _UNIT_TOL:
                 raise ValueError("product-state factors must be unit vectors")
         self.vectors: tuple[np.ndarray, ...] = vecs
 
@@ -416,7 +417,7 @@ def _term_values(coeffs: np.ndarray, expectations: Sequence[np.ndarray]) -> np.n
 def _require_unit(vectors: Sequence[np.ndarray]) -> None:
     for v in vectors:
         norms = np.sqrt(np.einsum("...i,...i->...", v.conj(), v).real)
-        if (np.abs(norms - 1.0) > _UNIT_TOL).any():
+        if not (np.abs(norms - 1.0) <= _UNIT_TOL).all():
             raise ValueError("product-state factors must be unit vectors")
 
 

@@ -23,7 +23,11 @@ for the optimal normalized estimation:
                                     a column.  The optimum is a smallest
                                     corner completion (see below).
     General                         four or more entries: no closed form
-                                    here; use the interior-point solver.
+                                    here; use the interior-point solver,
+                                    which takes its own closed form on
+                                    supports made only of lines (the rule
+                                    below) and runs its barrier path only
+                                    on the other components.
 
 Every class but the L-shape follows one rule.  The support splits into
 row lines (column lines when two entries share a column) that share no

@@ -27,9 +27,22 @@ the exact constraint boundary, where the optimum always lies.
 Only the last stage must be centered tightly, since only its nu * mu is
 reported as the gap: it ends at Newton decrement lambda <= 0.01.  Every
 earlier stage only places the iterate for the next shrink of mu, so it
-ends as soon as lambda <= 1/2.  The worked example takes 14 steps, and 50
-random qubit supports of 2-9 cells about 32 on average; with every stage
-ended at lambda <= 0.01 they took 19 and about 54.
+ends as soon as lambda <= 1/2.  The worked example takes 14 steps.  Of 50
+random qubit supports of 2-9 cells, 41 keep a block for the path (below),
+which takes about 34 steps on average; with every stage ended at
+lambda <= 0.01 the worked example took 19.
+
+The path only runs where it must.  Cells linked through shared rows or
+columns form the components of the support, and C is a direct sum of
+their blocks: ||C||_inf is the largest block norm, and the optimum is the
+sum of the block optima.  A component that lies in one row or one column
+(a line) is a vector, whose optimum is exactly t * ||v_line||_2, reached by
+c = t * v_line / ||v_line||_2 (zero on a zero line).  Every other
+component goes into one sub-support, which follows the path above with
+nu still counting the whole grid: the blocks it holds have side at most
+nu, so nu * mu still bounds its gap.  Only that part is polished.  A
+support made of lines alone, or whose other components hold zero data,
+takes no Newton step and reports gap 0.
 
 The stage objective is self-concordant, so the damped Newton step of
 length 1 / (1 + lambda), with lambda the Newton decrement, stays inside the
@@ -60,14 +73,16 @@ stack by ``ne_solve_batch`` (a sweep over angles is such a stack).  Every
 grid still on its path advances together: one lockstep step is one
 stacked Cholesky factorization of the (N, s, s) active blocks, one
 stacked inverse of their factors and one stacked (N, k, k) solve for the
-Newton steps.  Each grid keeps its own mu, step count and stop,
+Newton steps.  The stack shares its split into lines and the path's
+sub-support.  Each grid keeps its own mu, step count and stop,
 so its iterates are exactly those of solving it alone, and a grid leaves
 the stack when it stops.  A step the roundoff guard must shorten is
 retried grid by grid.  With one grid on the path (``ne_solve``, or a
-stack whose other grids are all zero) the scalar loop runs instead: the
-arrays are at most 12 x 12, so numpy's per-call overhead sets the cost,
-and at one row the stacked loop took 1.6-1.9x the scalar loop's time per
-step (five random supports, one thread on a shared 2-core x86 host).
+stack whose other grids are zero on the path's sub-support) the scalar
+loop runs instead: the arrays are at most 12 x 12, so numpy's per-call
+overhead sets the cost, and at one row the stacked loop took 1.6-1.9x
+the scalar loop's time per step (five random supports, one thread on a
+shared 2-core x86 host).
 Solver failures raise SolverError, which is not an input error.
 """
 
@@ -316,34 +331,45 @@ def _maximize_stack(
         c = trial
 
 
-def _result(
-    dims: tuple[int, int],
-    support: tuple[tuple[int, int], ...],
+def _components(
+    support: Sequence[tuple[int, int]],
+) -> tuple[list[list[int]], list[int]]:
+    """Positions of the support's line components, and of its other cells.
+
+    Cells sharing a row or a column are connected.  A component whose cells
+    all lie in one row or one column is a line.
+    """
+    groups: list[tuple[set[int], set[int], list[int]]] = []
+    for k, (i, j) in enumerate(support):
+        rows, cols, cells = {i}, {j}, [k]
+        for group in [g for g in groups if i in g[0] or j in g[1]]:
+            groups.remove(group)
+            rows |= group[0]
+            cols |= group[1]
+            cells += group[2]
+        groups.append((rows, cols, cells))
+    lines = [sorted(cells) for rows, cols, cells in groups
+             if len(rows) == 1 or len(cols) == 1]
+    rest = sorted(k for rows, cols, cells in groups
+                  if len(rows) > 1 and len(cols) > 1 for k in cells)
+    return lines, rest
+
+
+def _polish(
     v: np.ndarray,
+    c: np.ndarray,
+    dims: tuple[int, int],
+    support: Sequence[tuple[int, int]],
     t: float,
-    path: tuple[np.ndarray, int, float] | None,
-) -> NEResult:
-    """NEResult of a barrier path's end, or of all-zero data (path None)."""
-    if path is None:
-        coeffs = tuple(t if k == 0 else 0.0 for k in range(len(support)))
-        matrix = CoefficientMatrix(dims, support, coeffs)
-        return NEResult(0.0, matrix, witness=make_witness_pair(matrix))
-    c, steps, gap = path
-    # polish onto the boundary, where the optimum is attained.  On data so
-    # small that the path never leaves c = 0, the data scaled to a largest
-    # entry of 1 are the direction instead: any feasible c gives a lower
-    # bound, and the scaling keeps t / norm finite on subnormal data.
+) -> np.ndarray:
+    """A barrier path's end rescaled onto the boundary ||C(c)||_inf = t."""
+    # the optimum is attained on the boundary.  On data so small that the
+    # path never leaves c = 0, the data scaled to a largest entry of 1 are
+    # the direction instead: any feasible c gives a lower bound, and the
+    # scaling keeps t / norm finite on subnormal data.
     direction = c if c.any() else v / np.abs(v).max()
-    centered = CoefficientMatrix(dims, support, tuple(direction))
-    matrix = centered.scaled(t / centered.operator_norm())
-    value = abs(float(v @ np.array(matrix.coeffs)))
-    return NEResult(
-        value=value,
-        coefficients=matrix,
-        iterations=steps,
-        gap=gap,
-        witness=make_witness_pair(matrix),
-    )
+    norm = CoefficientMatrix(dims, tuple(support), tuple(direction)).operator_norm()
+    return direction * (t / norm)
 
 
 def ne_solve(
@@ -393,16 +419,54 @@ def ne_solve_batch(
     m, n = da * da - 1, db * db - 1
     t = 1.0 / math.sqrt((da - 1) * (db - 1))
 
-    paths: list[tuple[np.ndarray, int, float] | None] = [None] * len(grids)
-    rows = np.flatnonzero(values.any(axis=1))
-    # the stack height picks the loop: at one row the scalar one is faster
-    if len(rows) == 1:
-        paths[rows[0]] = _maximize(values[rows[0]], support, m, n, t, opts)
-    elif len(rows) > 1:
-        stacked = _maximize_stack(values[rows], support, m, n, t, opts)
-        for row, c, steps, gap in zip(rows, *stacked):
-            paths[row] = (c, int(steps), float(gap))
-    return [_result(dims, support, v, t, path) for v, path in zip(values, paths)]
+    lines, rest = _components(support)
+    coeffs = np.zeros(values.shape)
+    ne = np.zeros(len(grids))
+    if lines:
+        sizes = [len(line) for line in lines]
+        order = np.concatenate(lines)
+        part = values[:, order]
+        # hypot scales, so no square underflows; reduceat gives a one-cell
+        # line its own entry, hence abs
+        norms = np.hypot.reduceat(np.abs(part), np.cumsum([0] + sizes[:-1]), axis=1)
+        ne += t * norms.sum(axis=1)
+        spread = np.repeat(norms, sizes, axis=1)
+        # a zero line keeps zero coefficients
+        unit = np.divide(part, spread, out=np.zeros(part.shape), where=spread > 0.0)
+        coeffs[:, order] = t * unit
+    steps = np.zeros(len(grids), dtype=int)
+    gaps = np.zeros(len(grids))
+    if rest:
+        cells = [support[k] for k in rest]
+        part = values[:, rest]
+        rows = np.flatnonzero(part.any(axis=1))
+        paths: Sequence[np.ndarray] = []
+        # the stack height picks the loop: at one row the scalar one is faster
+        if len(rows) == 1:
+            c, steps[rows], gaps[rows] = _maximize(part[rows[0]], cells, m, n, t, opts)
+            paths = [c]
+        elif len(rows) > 1:
+            paths, steps[rows], gaps[rows] = _maximize_stack(
+                part[rows], cells, m, n, t, opts
+            )
+        for row, c in zip(rows, paths):
+            coeffs[row, rest] = _polish(part[row], c, dims, cells, t)
+            ne[row] += abs(float(part[row] @ coeffs[row, rest]))
+
+    results = []
+    for row, v in enumerate(values):
+        if not v.any():
+            # every feasible point is optimal; the witness needs a nonzero one
+            coeffs[row, 0] = t
+        matrix = CoefficientMatrix(dims, support, tuple(coeffs[row].tolist()))
+        results.append(NEResult(
+            value=float(ne[row]),
+            coefficients=matrix,
+            iterations=int(steps[row]),
+            gap=float(gaps[row]),
+            witness=make_witness_pair(matrix),
+        ))
+    return results
 
 
 @dataclass(frozen=True)

@@ -299,7 +299,8 @@ def test_solver_failure_has_its_own_exit_code(capsys, tmp_path):
     path = _chi3_file(tmp_path)
     for argv in (
         ["verify", "--input", path, "--max-iter", "1"],
-        ["sweep", "--family", "bell", "--set", "XX,XY,YZ,ZZ", "--max-iter", "1"],
+        # XX,XY,YY is an L-shape: Bell data there take the barrier path
+        ["sweep", "--family", "bell", "--set", "XX,XY,YY,ZZ", "--max-iter", "1"],
     ):
         rc, out, err = _run(capsys, argv)
         assert rc == 3

@@ -218,6 +218,22 @@ def test_product_state_validation():
         mp.ProductState([np.array([1.0, 1.0]), np.array([1.0, 0.0])])
 
 
+def test_product_state_rejects_nan_factors():
+    for bad in ([np.nan, 0.0], [1.0, np.nan], [np.nan, np.nan]):
+        with pytest.raises(ValueError, match="unit"):
+            mp.ProductState([np.array(bad), np.array([1.0, 0.0])])
+
+
+def test_sweep_unit_check_rejects_nan_rows():
+    good = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    mp._require_unit([good, good])
+    for bad in ([np.nan, 0.0], [np.nan + 1j, 0.0]):
+        rows = good.copy()
+        rows[1] = bad
+        with pytest.raises(ValueError, match="unit"):
+            mp._require_unit([good, rows])
+
+
 def test_product_expectations_respect_separable_bound():
     rng = np.random.default_rng(59)
     cells = [(0, 0), (1, 1), (2, 2), (0, 2)]

@@ -60,9 +60,28 @@ def test_worked_example_takes_few_damped_steps(monkeypatch):
     assert calls[0] == got.iterations + 1
 
 
+def _has_block(cells):
+    """Whether some component of the cells (linked through shared rows or
+    columns) spans two rows and two columns, so that it is not a line."""
+    left = set(cells)
+    while left:
+        component = {left.pop()}
+        frontier = list(component)
+        while frontier:
+            i, j = frontier.pop()
+            linked = {c for c in left if c[0] == i or c[1] == j}
+            left -= linked
+            component |= linked
+            frontier.extend(linked)
+        if len({i for i, _ in component}) > 1 and len({j for _, j in component}) > 1:
+            return True
+    return False
+
+
 def test_every_damped_step_is_feasible_first_time(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     rng = np.random.default_rng(31)
+    blocks = 0
     for _ in range(50):
         d = int(rng.integers(2, 4))
         side = d * d - 1
@@ -73,7 +92,13 @@ def test_every_damped_step_is_feasible_first_time(monkeypatch):
         )
         calls[0] = 0
         got = solver.ne_solve(g)
-        assert calls[0] == got.iterations + 1, sorted(g.values.items())
+        if _has_block(g.measured):
+            blocks += 1
+            assert calls[0] == got.iterations + 1, sorted(g.values.items())
+        else:
+            # only lines: closed forms, no barrier path
+            assert calls[0] == got.iterations == 0, sorted(g.values.items())
+    assert blocks > 25
 
 
 def test_agrees_with_every_closed_form_class():
@@ -339,6 +364,7 @@ def test_stacked_loop_factorizes_once_per_step(monkeypatch):
     monkeypatch.setattr(solver._ActiveBlock, "cholesky_stack", counted_stack)
     monkeypatch.setattr(solver._ActiveBlock, "cholesky", counted_single)
     rng = np.random.default_rng(53)
+    blocks = 0
     for _ in range(10):
         d = int(rng.integers(2, 4))
         side = d * d - 1
@@ -350,8 +376,14 @@ def test_stacked_loop_factorizes_once_per_step(monkeypatch):
         ]
         calls.update(stack=0, single=0)
         results = solver.ne_solve_batch(grids)
-        # one factorization at the start, then one per lockstep step
-        assert calls == {"stack": max(r.iterations for r in results) + 1, "single": 0}
+        steps = max(r.iterations for r in results)
+        if _has_block(cells):
+            blocks += 1
+            # one factorization at the start, then one per lockstep step
+            assert calls == {"stack": steps + 1, "single": 0}
+        else:
+            assert calls == {"stack": 0, "single": 0} and steps == 0
+    assert blocks > 5
 
 
 def test_stacked_solve_needs_shared_dims_and_support():
@@ -413,7 +445,8 @@ def test_returned_iterate_is_centered_on_its_last_stage(monkeypatch):
     for g in grids:
         solver.ne_solve(g)
     assert {g.dims for g in grids} == {(2, 2), (3, 3)}
-    assert len(ends) == len(grids)
+    # line components take their closed form: one path per grid with a block
+    assert len(ends) == sum(_has_block(g.measured) for g in grids) > len(grids) / 2
     for v, support, m, n, t, (c, steps, gap) in ends:
         assert steps > 0
         assert _dense_decrement(v, support, m, n, t, c, gap / (m + n)) <= 0.01
@@ -483,3 +516,109 @@ def test_data_too_small_to_move_the_path_give_a_feasible_lower_bound(scale):
         assert r.value == pytest.approx(attained, rel=1e-12)
         assert 0.0 < r.value <= scale * optimum * (1.0 + 1e-9)
         assert r.verdict == "undetected"
+
+
+def test_split_value_lies_between_whole_barrier_path_and_its_gap():
+    # the whole support through the barrier path, polished here, against
+    # the split's closed forms plus its barrier on the remaining block
+    rng = np.random.default_rng(67)
+    tol = solver.SolverOptions().tol
+    lines = 0
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+        t = 1.0 / math.sqrt((dims[0] - 1) * (dims[1] - 1))
+        for _ in range(25):
+            flat = rng.choice(m * n, size=int(rng.integers(2, 8)), replace=False)
+            support = sorted((int(f // n), int(f % n)) for f in flat)
+            v = rng.uniform(-1.0, 1.0, size=len(support))
+            c, _, _ = solver._maximize(v, support, m, n, t, solver.SolverOptions())
+            dense = np.zeros((m, n))
+            dense[tuple(np.array(support).T)] = c
+            barrier = abs(float(v @ c)) * t / np.linalg.svd(dense, compute_uv=False)[0]
+            grid = CorrelatorGrid(dims, dict(zip(support, v.tolist())))
+            split = solver.ne_solve(grid).value
+            assert barrier - 1e-12 <= split <= barrier + tol, (dims, support)
+            lines += not _has_block(support)
+    assert lines > 10
+
+
+def test_line_only_supports_factorize_nothing(monkeypatch):
+    calls = [0]
+    single, stack = solver._ActiveBlock.cholesky, solver._ActiveBlock.cholesky_stack
+
+    def counted_single(self, c):
+        calls[0] += 1
+        return single(self, c)
+
+    def counted_stack(self, cs):
+        calls[0] += 1
+        return stack(self, cs)
+
+    monkeypatch.setattr(solver._ActiveBlock, "cholesky", counted_single)
+    monkeypatch.setattr(solver._ActiveBlock, "cholesky_stack", counted_stack)
+    rng = np.random.default_rng(71)
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+        t = 1.0 / math.sqrt((dims[0] - 1) * (dims[1] - 1))
+        for _ in range(10):
+            # a row line, a column line in other rows and columns, a lone cell
+            rows = rng.permutation(m)
+            cols = rng.permutation(n)
+            row_line = [(int(rows[0]), int(j)) for j in cols[: int(rng.integers(1, n - 1))]]
+            col_line = [(int(i), int(cols[-1])) for i in rows[1 : m - 1]]
+            lines = [row_line, col_line, [(int(rows[-1]), int(cols[-2]))]]
+            cells = [cell for line in lines for cell in line]
+            assert not _has_block(cells)
+            grids = [
+                CorrelatorGrid(dims, {c: float(rng.uniform(-1, 1)) for c in cells})
+                for _ in range(3)
+            ]
+            grids.append(CorrelatorGrid(dims, dict.fromkeys(cells, 0.0)))
+            for got, g in zip(solver.ne_solve_batch(grids), grids):
+                alone = solver.ne_solve(g)
+                want = t * sum(math.hypot(*(g.value_at(c) for c in line)) for line in lines)
+                for r in (got, alone):
+                    assert (r.iterations, r.gap) == (0, 0.0)
+                    assert r.value == pytest.approx(want, rel=1e-15, abs=0.0)
+                    assert r.coefficients.operator_norm() <= t * (1.0 + 1e-15)
+    assert calls[0] == 0
+
+
+def test_stacks_mixing_lines_and_a_block_equal_each_grid_alone():
+    rng = np.random.default_rng(73)
+    blocks = 0
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+        for _ in range(8):
+            # a block on two rows and two columns, plus lines elsewhere
+            rows, cols = rng.permutation(m), rng.permutation(n)
+            block = [(int(i), int(j)) for i in rows[:2] for j in cols[:2]]
+            block = [block[k] for k in rng.choice(4, size=int(rng.integers(3, 5)), replace=False)]
+            wide = m > 3 and n > 3
+            row_line = [(int(rows[2]), int(j)) for j in cols[2 : n - wide]]
+            lines = row_line + [(int(rows[-1]), int(cols[-1]))] * wide
+            cells = block + lines
+            assert _has_block(cells)
+            grids = [
+                CorrelatorGrid(dims, {c: float(rng.uniform(-1, 1)) for c in cells})
+                for _ in range(6)
+            ]
+            # zero data on the block, and zero data on the lines
+            grids.append(CorrelatorGrid(dims, {c: (c in lines) * 0.5 for c in cells}))
+            grids.append(CorrelatorGrid(dims, {c: (c in block) * 0.5 for c in cells}))
+            stacked = solver.ne_solve_batch(grids, cells)
+            for got, g in zip(stacked, grids):
+                alone = solver.ne_solve(g, cells)
+                assert got.value == pytest.approx(alone.value, abs=1e-12)
+                assert (got.iterations, got.gap) == (alone.iterations, alone.gap)
+                assert np.allclose(
+                    got.coefficients.coeffs, alone.coefficients.coeffs, atol=1e-9
+                )
+                blocks += got.iterations > 0
+            # zero data on the block take no path and report no gap
+            assert (stacked[-2].iterations, stacked[-2].gap) == (0, 0.0)
+            t = 1.0 / math.sqrt((dims[0] - 1) * (dims[1] - 1))
+            assert stacked[-2].value == pytest.approx(
+                t * 0.5 * (math.sqrt(len(row_line)) + wide), rel=1e-15
+            )
+    assert blocks == 7 * 24
