@@ -35,11 +35,12 @@ from . import patterns, qmodel, solver
 from .grids import (
     CorrelatorGrid,
     MeasurementSet,
+    _reject_duplicate_pairs,
     emit_grid,
     parse_grid,
     render_float,
 )
-from .multipartite import ObservableSum, SPIOptions, spi_lambda_max
+from .multipartite import ObservableSum, spi_lambda_max
 from .solver import SolverOptions
 from .witness import VERDICT_ENTANGLED, evaluate_witness, witness_report
 
@@ -208,20 +209,21 @@ def cmd_spi(args: argparse.Namespace) -> int:
     if bool(path) == bool(inline):
         raise ValueError("exactly one of --input and --observable is required")
     data = Path(path).read_bytes() if path else inline.encode("utf-8")
-    doc = json.loads(data)
+    doc = json.loads(data, object_pairs_hook=_reject_duplicate_pairs)
     if not isinstance(doc, list):
         raise ValueError("observable description must be a JSON list")
     terms = []
     for item in doc:
-        try:
-            terms.append((float(item["coeff"]), str(item["paulis"])))
-        except (TypeError, KeyError):
-            raise ValueError(
-                "each observable term needs 'coeff' and 'paulis'"
-            ) from None
+        if not isinstance(item, dict) or not {"coeff", "paulis"} <= item.keys():
+            raise ValueError("each observable term needs 'coeff' and 'paulis'")
+        coeff, label = item["coeff"], item["paulis"]
+        if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+            raise ValueError(f"coeff {coeff!r} is not a number")
+        if not isinstance(label, str):
+            raise ValueError(f"paulis {label!r} is not a string")
+        terms.append((float(coeff), label))
     obs = ObservableSum.from_pauli_strings(terms)
-    opts = SPIOptions(seed=args.seed) if args.seed is not None else SPIOptions()
-    res = spi_lambda_max(obs, opts)
+    res = spi_lambda_max(obs) if args.seed is None else spi_lambda_max(obs, args.seed)
     result = {
         "lambda_max": res.lambda_max,
         "restarts_used": res.restarts_used,

@@ -14,13 +14,15 @@ into a small effective local operator whose top eigenvector is the exact
 single-site optimum.  Sweeping that update cyclically over the sites -
 separability power iteration - ascends monotonically and converges to a
 (local) maximum; a multistart over local basis eigenvectors plus random
-product states is used to escape poor basins.  All starts of one search
-advance in lockstep, and a start leaves the active set at its first sweep
-that gains less than the tolerance.  Qubit sites are swept in Bloch
-coordinates: a qubit's effective operator is g 1 + h . sigma, whose top
-eigenvector has Bloch vector h / |h|, so each update is that closed form
-over the S starts still active, and the spinors are formed once, at the
-end of the search.  Every other site update is one batched eigensolve
+product states is used to escape poor basins.  The policy is fixed: the
+first 216 combinations of local eigenvectors, then 8 Haar-random product
+states drawn from ``seed`` (11 by default), the one knob.  All starts of
+one search advance in lockstep, and a start leaves the active set at its
+first sweep that gains less than 1e-10, or after 500 sweeps.  Qubit
+sites are swept in Bloch coordinates: a qubit's effective operator is
+g 1 + h . sigma, whose top eigenvector has Bloch vector h / |h|, so each
+update is that closed form over the S starts still active, and the
+spinors are formed once, at the end of the search.  Every other site update is one batched eigensolve
 over the ``(S, d, d)`` effective operators.  No global-optimality claim is
 attached to the outcome; results carry restart counts and convergence
 flags instead.
@@ -36,12 +38,15 @@ coefficient vectors c, oriented so that sum_k c_k e_k >= 0, it maximizes
 sum_k c_k e_k / lambda_max(sum_k c_k O_k) for measured estimates e_k.  The
 outer problem is non-convex; the implementation alternates a closed-form
 coefficient step against the current optimizer state with full
-re-evaluations, multistarted from several coefficient initializations,
-and reports the best local optimum found.  The Pauli products are
-stacked once per call, and each evaluation only reweights them.  Values
-above 1 are incompatible with fully separable states provided lambda_max
-was not underestimated; SPI's value is a lower bound on the maximum, so
-the verdict is heuristic, not certified.
+re-evaluations, multistarted from 16 coefficient initializations (seed
+5) of at most 40 rounds each, and reports the best local optimum found.
+Each evaluation sweeps only the first 12 eigenvector combinations plus
+the previous optimizer; the reported optimum gets the full multistart.
+The Pauli products and the inner starts are built once per call, and
+each evaluation only reweights them.  Values above 1 are incompatible
+with fully separable states provided lambda_max was not underestimated;
+SPI's value is a lower bound on the maximum, so the verdict is
+heuristic, not certified.
 """
 
 from __future__ import annotations
@@ -62,6 +67,19 @@ _DEGENERACY_TOL = 1e-10
 _NEGLIGIBLE_PROJECTION = 1e-8
 #: I, X, Y, Z: the basis in which qubit factors are read in Bloch coordinates.
 _PAULI_BASIS = np.stack([PAULI[a] for a in "IXYZ"])
+#: A start stops at its first sweep that gains less than _SWEEP_TOL, or after
+#: _MAX_SWEEPS sweeps.
+_SWEEP_TOL = 1e-10
+_MAX_SWEEPS = 500
+#: The multistart of spi_lambda_max: eigenvector combinations, then random starts.
+_EIGEN_STARTS = 216
+_RANDOM_STARTS = 8
+#: ne_multipartite's coefficient starts, the rounds of each, and their seed.
+_COEFF_STARTS = 16
+_MAX_ROUNDS = 40
+_COEFF_SEED = 5
+#: Eigenvector combinations swept by each evaluation inside ne_multipartite.
+_INNER_STARTS = 12
 
 
 def _kron_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -192,24 +210,6 @@ class ProductState:
 
 
 @dataclass(frozen=True)
-class SPIOptions:
-    """Sweep tolerances and the multistart policy.
-
-    With ``restarts=None`` the starts are every combination of eigenvectors
-    of the non-identity local basis operators (truncated to
-    ``max_eigen_starts`` in enumeration order) plus ``random_starts`` Haar
-    product states; an integer caps the total, filled in the same order.
-    """
-
-    tol: float = 1e-10
-    max_sweeps: int = 500
-    restarts: int | None = None
-    random_starts: int = 8
-    max_eigen_starts: int = 216
-    seed: int = 11
-
-
-@dataclass(frozen=True)
 class SPIResult:
     lambda_max: float
     optimizer: ProductState
@@ -251,27 +251,18 @@ def _random_start(dims: tuple[int, ...], rng: np.random.Generator) -> list[np.nd
     return vecs
 
 
-def _starts(
-    dims: tuple[int, ...], opts: SPIOptions, initial: ProductState | None
-) -> list[np.ndarray]:
-    """The multistart of ``opts`` in order, one ``(S, d)`` array per site."""
-    rng = np.random.default_rng(opts.seed)
-    starts = _eigen_starts(dims, opts.max_eigen_starts)
-    if opts.restarts is None:
-        extra = opts.random_starts
-    else:
-        total = max(1, opts.restarts)
-        starts = [v[:total] for v in starts]
-        extra = total - starts[0].shape[0]
-    rows = [_random_start(dims, rng) for _ in range(extra)]
-    if initial is not None:
-        rows.append(list(initial.vectors))
-    if rows:
-        starts = [
-            np.concatenate([v, np.array([r[s] for r in rows])])
-            for s, v in enumerate(starts)
-        ]
-    return starts
+def _starts(dims: tuple[int, ...], seed: int) -> list[np.ndarray]:
+    """The multistart of ``spi_lambda_max``, one ``(S, d)`` array per site.
+
+    The first ``_EIGEN_STARTS`` combinations of local eigenvectors in
+    enumeration order, then ``_RANDOM_STARTS`` Haar product states.
+    """
+    rng = np.random.default_rng(seed)
+    rows = [_random_start(dims, rng) for _ in range(_RANDOM_STARTS)]
+    return [
+        np.concatenate([v, np.array([r[s] for r in rows])])
+        for s, v in enumerate(_eigen_starts(dims, _EIGEN_STARTS))
+    ]
 
 
 def _site_expectations(factors: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -422,7 +413,7 @@ def _require_unit(vectors: Sequence[np.ndarray]) -> None:
 
 
 def _lockstep_sweeps(
-    obs: ObservableSum, vectors: Sequence[np.ndarray], opts: SPIOptions
+    obs: ObservableSum, vectors: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Sweep every start to convergence at once.
 
@@ -432,7 +423,7 @@ def _lockstep_sweeps(
     to states (``state``), states to per-term expectations
     (``expectations``), term weights to the next states (``update``) and
     states back to vectors (``vectors``).  A start leaves the active set
-    at the first sweep that gains less than ``opts.tol``; the rest advance
+    at the first sweep that gains less than ``_SWEEP_TOL``; the rest advance
     together.  Returns the final values, vectors and convergence flags per
     start.
     """
@@ -449,13 +440,13 @@ def _lockstep_sweeps(
     live = np.arange(count)
     expectations = [site.expectations(x) for site, x in zip(sites, states)]
     value = _term_values(coeffs, expectations)
-    for _ in range(opts.max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         for k, site in enumerate(sites):
             states[k] = site.update(_site_weights(coeffs, expectations, k), states[k])
             expectations[k] = site.expectations(states[k])
         _require_unit(states)
         new_value = _term_values(coeffs, expectations)
-        done = new_value - value < opts.tol
+        done = new_value - value < _SWEEP_TOL
         value = new_value
         if not done.any():
             continue
@@ -477,28 +468,9 @@ def _lockstep_sweeps(
     return values, [site.vectors(o) for site, o in zip(sites, out)], converged
 
 
-def spi_lambda_max(
-    obs: ObservableSum,
-    opts: SPIOptions | None = None,
-    initial: ProductState | None = None,
-) -> SPIResult:
-    """Best product-state expectation found by multistarted cyclic sweeps.
-
-    Each sweep updates one site at a time to the top eigenvector of its
-    effective operator (ties resolved toward the current vector), which
-    never decreases the objective.  All starts advance in lockstep, each
-    stopping at its own first sweep that gains less than ``opts.tol``; the
-    first start reaching the best value is reported.  ``initial`` adds one
-    extra start, e.g. to warm-start from a previous optimizer; its dims
-    must be the observable's.
-    """
-    opts = opts or SPIOptions()
-    if initial is not None and initial.dims != obs.dims:
-        raise ValueError(
-            f"initial state has dims {initial.dims}, the observable has dims {obs.dims}"
-        )
-    starts = _starts(obs.dims, opts, initial)
-    values, vectors, converged = _lockstep_sweeps(obs, starts, opts)
+def _best_start(obs: ObservableSum, starts: Sequence[np.ndarray]) -> SPIResult:
+    """Sweep ``starts``, one ``(S, d)`` array per site, and report the first best."""
+    values, vectors, converged = _lockstep_sweeps(obs, starts)
     best = int(np.argmax(values))
     return SPIResult(
         lambda_max=float(values[best]),
@@ -508,17 +480,28 @@ def spi_lambda_max(
     )
 
 
+def spi_lambda_max(obs: ObservableSum, seed: int = 11) -> SPIResult:
+    """Best product-state expectation found by multistarted cyclic sweeps.
+
+    Each sweep updates one site at a time to the top eigenvector of its
+    effective operator (ties resolved toward the current vector), which
+    never decreases the objective.  All starts advance in lockstep, each
+    stopping at its own first sweep that gains less than ``_SWEEP_TOL``;
+    the first start reaching the best value is reported.  ``seed`` draws
+    the random starts.
+    """
+    return _best_start(obs, _starts(obs.dims, seed))
+
+
 def k_separable_lambda_max(
-    obs: ObservableSum,
-    partition: Sequence[Sequence[int]],
-    opts: SPIOptions | None = None,
+    obs: ObservableSum, partition: Sequence[Sequence[int]]
 ) -> SPIResult:
     """lambda_max over states product across the given party blocks.
 
     Entanglement within a block is allowed (the block update is exact over
     its full local space), so coarser partitions can only raise the value.
     """
-    return spi_lambda_max(obs.blocked(partition), opts)
+    return spi_lambda_max(obs.blocked(partition))
 
 
 # -- multipartite normalized estimation ----------------------------------------
@@ -545,20 +528,8 @@ class MultipartiteNEResult:
     )
 
 
-@dataclass(frozen=True)
-class NEMultipartiteOptions:
-    starts: int = 16
-    max_rounds: int = 40
-    seed: int = 5
-    spi: SPIOptions = field(
-        default_factory=lambda: SPIOptions(restarts=12, random_starts=4)
-    )
-
-
 def ne_multipartite(
-    obs_support: Sequence[str],
-    estimates: Sequence[float],
-    options: NEMultipartiteOptions | None = None,
+    obs_support: Sequence[str], estimates: Sequence[float]
 ) -> MultipartiteNEResult:
     """Maximize sum c_k e_k / lambda_max(sum c_k O_k) over coefficients.
 
@@ -566,7 +537,9 @@ def ne_multipartite(
     Every coefficient vector is oriented so that sum c_k e_k >= 0 before it
     is evaluated: only then does lambda_max bound the numerator on
     separable data.  A start or proposal whose lambda_max vanishes under
-    the inner ``opts.spi`` is skipped.
+    the inner search is skipped.  The inner search sweeps the first
+    ``_INNER_STARTS`` eigenvector combinations plus, after the first
+    evaluation of a start, the previous optimizer.
     Alternation: at the current coefficients, SPI yields a product state
     psi; against psi the objective is a linear/linear ratio whose ascent
     direction has the closed form e - F * o(psi), which proposes the next
@@ -574,7 +547,6 @@ def ne_multipartite(
     Multistarted; the best local optimum is reported together with a final
     full-multistart SPI evaluation.
     """
-    opts = options or NEMultipartiteOptions()
     labels = tuple(obs_support)
     est = np.array([float(e) for e in estimates])
     if len(labels) != len(est):
@@ -584,17 +556,18 @@ def ne_multipartite(
 
     # the Pauli products, built once; each evaluation only reweights them
     paulis = ObservableSum.from_pauli_strings([(1.0, label) for label in labels])
-    rng = np.random.default_rng(opts.seed)
+    inner = _eigen_starts(paulis.dims, _INNER_STARTS)
+    rng = np.random.default_rng(_COEFF_SEED)
     k = len(labels)
     starts: list[np.ndarray] = []
     nrm = float(np.linalg.norm(est))
     if nrm > 0:
         starts.append(est / nrm)
     starts.extend(np.eye(k)[i] for i in range(min(k, 7)))
-    while len(starts) < opts.starts:
+    while len(starts) < _COEFF_STARTS:
         v = rng.standard_normal(k)
         starts.append(v / np.linalg.norm(v))
-    starts = starts[: opts.starts]
+    starts = starts[:_COEFF_STARTS]
 
     def oriented(c: np.ndarray) -> np.ndarray:
         # sum c_k e_k <= lambda_max(sum c_k O_k) bounds separable data only
@@ -603,7 +576,10 @@ def ne_multipartite(
 
     def objective(c: np.ndarray, warm: ProductState | None):
         obs = ObservableSum._stacked(c, paulis.factor_stacks)
-        res = spi_lambda_max(obs, opts.spi, initial=warm)
+        vectors = inner if warm is None else [
+            np.concatenate([v, w[None]]) for v, w in zip(inner, warm.vectors)
+        ]
+        res = _best_start(obs, vectors)
         lam = res.lambda_max
         if lam <= 1e-12:
             return -math.inf, res
@@ -617,7 +593,7 @@ def ne_multipartite(
         f, res = objective(c, None)
         if not math.isfinite(f):
             continue
-        for _ in range(opts.max_rounds):
+        for _ in range(_MAX_ROUNDS):
             state = res.optimizer
             direction = est - f * paulis.term_values(state)
             dn = float(np.linalg.norm(direction))

@@ -51,9 +51,7 @@ minimizer is mu* = bc/a when |bc| < a^2, giving
 
 and mu* = sign(bc) a otherwise, giving NE = |b| + |c|.  The optimizing
 coefficients are the polar factor of the completed matrix, in closed form
-too, and sit exactly on the constraint boundary; the closed
-eigenvalue form lambda_plus = (T + sqrt(T^2 - 4 b^2 g^2)) / 2 for the
-squared spectral norm of an L-shaped matrix is exposed for cross-checks.
+too, and sit exactly on the constraint boundary.
 """
 
 from __future__ import annotations
@@ -112,26 +110,6 @@ class PatternClass:
         return tuple(
             sorted((self.perm_a[i], self.perm_b[j]) for i, j in cells)
         )
-
-
-@dataclass(frozen=True)
-class LShapeNorm:
-    """Squared-spectral-norm data for an L-shaped coefficient matrix.
-
-    For the 2x2 embedding [[alpha, beta], [gamma, 0]] the squared spectral
-    norm is lambda_plus = (T + sqrt(T^2 - 4 beta^2 gamma^2)) / 2 where
-    T = alpha^2 + beta^2 + gamma^2.
-    """
-
-    T: float
-    lambda_plus: float
-
-
-def lshape_norm(alpha: float, beta: float, gamma: float) -> LShapeNorm:
-    total = alpha * alpha + beta * beta + gamma * gamma
-    disc = total * total - 4.0 * beta * beta * gamma * gamma
-    lam = 0.5 * (total + math.sqrt(max(disc, 0.0)))
-    return LShapeNorm(total, lam)
 
 
 _CANON_SINGLE = MeasurementSet.parse("XX")

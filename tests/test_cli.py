@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entcert import qmodel, solver
+from entcert import cli, qmodel, solver
 from entcert.cli import main, parse_angle
 from entcert.grids import MeasurementSet, emit_grid, parse_grid, render_float
+from entcert.multipartite import spi_lambda_max
 
 
 def _run(capsys, argv):
@@ -195,6 +196,44 @@ def test_spi_rejects_malformed_terms(capsys):
     rc, _, err = _run(capsys, ["spi", "--observable", '[{"coeff": 1.0}]'])
     assert rc == 2
     assert "paulis" in err
+
+
+@pytest.mark.parametrize(
+    "observable, message",
+    [
+        ('[{"coeff": true, "paulis": "ZZ"}]', "coeff True is not a number"),
+        ('[{"coeff": "0.5", "paulis": "ZZ"}]', "coeff '0.5' is not a number"),
+        ('[{"coeff": 1, "paulis": 7}]', "paulis 7 is not a string"),
+        ('[{"coeff": 1, "coeff": -1, "paulis": "ZZ"}]', "duplicate key 'coeff'"),
+    ],
+    ids=["coeff_bool", "coeff_string", "paulis_number", "duplicate_key"],
+)
+def test_spi_rejects_terms_it_cannot_read_one_way(capsys, observable, message):
+    rc, out, err = _run(capsys, ["spi", "--observable", observable])
+    assert rc == 2
+    assert out == ""
+    assert message in err
+
+
+def test_spi_seed(capsys, monkeypatch):
+    seeds = []
+
+    def recording(obs, *args):
+        seeds.append(args)
+        return spi_lambda_max(obs, *args)
+
+    monkeypatch.setattr(cli, "spi_lambda_max", recording)
+    obs = json.dumps([{"coeff": 1.0, "paulis": "ZZZ"}, {"coeff": 0.5, "paulis": "XXI"}])
+    rc, default, _ = _run(capsys, ["spi", "--observable", obs])
+    assert rc == 0
+    rc, eleven, _ = _run(capsys, ["spi", "--observable", obs, "--seed", "11"])
+    assert rc == 0
+    assert eleven == default
+    rc, four, _ = _run(capsys, ["spi", "--observable", obs, "--seed", "4"])
+    assert rc == 0
+    expected = json.loads(default)["result"]["lambda_max"]
+    assert json.loads(four)["result"]["lambda_max"] == pytest.approx(expected, abs=1e-9)
+    assert seeds == [(), (11,), (4,)]
 
 
 def test_simulate_emits_full_grid(capsys):

@@ -311,29 +311,13 @@ def test_top_eigenvector_ties_go_to_the_largest_overlap():
 
 
 def test_capped_starts_keep_an_optimal_vector_on_a_zero_operator():
-    # with 12 starts, X eigenvectors sit on sites 1-2 of XYY, where the
-    # effective operator of site 0 vanishes; the sweep must keep X+ there
+    # in the 12 starts of ne_multipartite's inner search, X eigenvectors sit
+    # on sites 1-2 of XYY, where the effective operator of site 0 vanishes;
+    # the sweep must keep X+ there
     obs = mp.ObservableSum.from_pauli_strings([(1.0, "XYY")])
-    res = mp.spi_lambda_max(obs, mp.SPIOptions(restarts=12, random_starts=4))
+    res = mp._best_start(obs, mp._eigen_starts(obs.dims, mp._INNER_STARTS))
+    assert res.restarts_used == 12
     assert res.lambda_max == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize(
-    "vectors",
-    [
-        [np.array([1.0, 0.0])] * 4,
-        [np.array([1.0, 0.0])] * 2,
-        [np.array([1.0, 0.0, 0.0])] + [np.array([1.0, 0.0])] * 2,
-    ],
-    ids=["four_qubits", "two_qubits", "qutrit_first"],
-)
-def test_initial_state_must_match_the_observable_dims(vectors):
-    obs = mp.ObservableSum.from_pauli_strings([(1.0, "ZZZ")])
-    initial = mp.ProductState(vectors)
-    with pytest.raises(ValueError) as err:
-        mp.spi_lambda_max(obs, initial=initial)
-    assert str(initial.dims) in str(err.value)
-    assert "(2, 2, 2)" in str(err.value)
 
 
 SIGMA = np.array([PAULI[a] for a in "XYZ"])
@@ -396,16 +380,16 @@ def test_qubit_update_keeps_the_vector_on_a_tied_operator():
     assert np.array_equal(site.update(weights, r), r)
 
 
-def _reference_sweep(obs, vectors, opts):
+def _reference_sweep(obs, vectors):
     """One start at a time, unbatched: the sweep as a plain loop."""
     vectors = list(vectors)
     value = obs.expectation(mp.ProductState(vectors))
-    for _ in range(opts.max_sweeps):
+    for _ in range(mp._MAX_SWEEPS):
         for site in range(obs.parties):
             eff = mp._effective_operator(obs, vectors, site)
             vectors[site] = mp._top_eigenvector(eff, vectors[site])
         new_value = obs.expectation(mp.ProductState(vectors))
-        if new_value - value < opts.tol:
+        if new_value - value < mp._SWEEP_TOL:
             return new_value, True
         value = new_value
     return value, False
@@ -438,9 +422,8 @@ def _lockstep_cases():
 @pytest.mark.parametrize("name, obs", _lockstep_cases())
 def test_lockstep_sweep_equals_one_start_at_a_time(name, obs):
     """Batching the starts changes no start's value or convergence flag."""
-    opts = mp.SPIOptions()
-    starts = mp._starts(obs.dims, opts, None)
-    values, vectors, converged = mp._lockstep_sweeps(obs, starts, opts)
+    starts = mp._starts(obs.dims, 11)
+    values, vectors, converged = mp._lockstep_sweeps(obs, starts)
     assert len(values) == 224
     for site in range(obs.parties):
         batched = mp._effective_operator(obs, starts, site)
@@ -448,10 +431,10 @@ def test_lockstep_sweep_equals_one_start_at_a_time(name, obs):
             single = mp._effective_operator(obs, [v[i] for v in starts], site)
             assert np.allclose(batched[i], single, rtol=0, atol=1e-14)
     for i in range(len(values)):
-        one_values, _, one_converged = mp._lockstep_sweeps(obs, [v[i:i + 1] for v in starts], opts)
+        one_values, _, one_converged = mp._lockstep_sweeps(obs, [v[i:i + 1] for v in starts])
         assert abs(one_values[0] - values[i]) <= 1e-12
         assert one_converged[0] == converged[i]
-        ref_value, ref_converged = _reference_sweep(obs, [v[i] for v in starts], opts)
+        ref_value, ref_converged = _reference_sweep(obs, [v[i] for v in starts])
         assert abs(ref_value - values[i]) <= 1e-12
         assert ref_converged == converged[i]
         state = mp.ProductState([v[i] for v in vectors])

@@ -183,17 +183,6 @@ def test_lshape_matches_dense_sampling():
         assert r.value == pytest.approx(lower, abs=5e-3)
 
 
-def test_lshape_norm_identity():
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        alpha, beta, gamma = rng.standard_normal(3)
-        info = patterns.lshape_norm(alpha, beta, gamma)
-        dense = np.array([[alpha, beta], [gamma, 0.0]])
-        lam = np.linalg.svd(dense, compute_uv=False)[0] ** 2
-        assert info.lambda_plus == pytest.approx(lam, rel=1e-10, abs=1e-12)
-        assert info.T == pytest.approx(alpha**2 + beta**2 + gamma**2)
-
-
 def test_lshape_boundary_constraint():
     # unit spectral norm (lambda_plus = 1) pins beta^2 gamma^2 = T - 1
     rng = np.random.default_rng(29)
