@@ -221,7 +221,10 @@ def cmd_spi(args: argparse.Namespace) -> int:
             raise ValueError(f"coeff {coeff!r} is not a number")
         if not isinstance(label, str):
             raise ValueError(f"paulis {label!r} is not a string")
-        terms.append((float(coeff), label))
+        try:
+            terms.append((float(coeff), label))
+        except OverflowError:
+            raise ValueError("coeff is too large") from None
     obs = ObservableSum.from_pauli_strings(terms)
     res = spi_lambda_max(obs) if args.seed is None else spi_lambda_max(obs, args.seed)
     result = {

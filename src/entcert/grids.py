@@ -139,13 +139,20 @@ class CorrelatorGrid:
         ra, rb = self.basis_size
         # physical magnitude bound for trace-normalized local bases; the
         # 5% headroom tolerates slightly out-of-range empirical estimates
-        cap = VALUE_CAP * math.sqrt((da - 1) * (db - 1))
+        try:
+            cap = VALUE_CAP * math.sqrt((da - 1) * (db - 1))
+        except OverflowError:
+            raise ValueError("local dimensions are too large") from None
         cleaned: dict[tuple[int, int], float] = {}
         for pair, value in self.values.items():
             i, j = int(pair[0]), int(pair[1])
             if not (0 <= i < ra and 0 <= j < rb):
                 raise ValueError(f"index pair {pair} outside basis range")
-            v = float(value)
+            try:
+                v = float(value)
+            except OverflowError:
+                label = pair_label(self.dims, (i, j))
+                raise ValueError(f"correlator {label} is too large") from None
             if not math.isfinite(v):
                 raise ValueError(f"correlator {pair_label(self.dims, (i, j))} is not finite")
             if abs(v) > cap:
@@ -262,7 +269,8 @@ def _parse_json(text: str) -> CorrelatorGrid:
         pair = _parse_key(key, dims)
         if pair in values:
             raise ValueError(f"duplicate key {key!r}")
-        values[pair] = float(raw)
+        # the grid converts, and rejects an integer beyond the float range
+        values[pair] = raw
     return CorrelatorGrid(dims, values)
 
 

@@ -37,6 +37,7 @@ FAMILIES = ("bell", "psi_theta", "chi1", "chi3")
 
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
+_MAX_SHOTS = 2**63 - 1  # numpy draws the shot counts as int64
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,14 @@ def sample_correlator(
     rho: DensityMatrix, a: str, b: str, shots: int, seed: int
 ) -> float:
     """Empirical +-1-product mean over ``shots`` joint measurements."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _check_shots(shots)
     rng = np.random.default_rng(seed)
     return _sample_with_rng(rho, a, b, shots, rng)
+
+
+def _check_shots(shots: int) -> None:
+    if not 1 <= shots <= _MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {_MAX_SHOTS}], got {shots}")
 
 
 def _sample_with_rng(
@@ -271,6 +276,7 @@ def correlator_grid(
             raise ValueError("shot sampling supports qubit pairs only")
         if seed is None:
             raise ValueError("seed is required when sampling")
+        _check_shots(shots)
         streams = np.random.SeedSequence(seed).spawn(9)
         k = 0
         for i, a in enumerate(AXES):

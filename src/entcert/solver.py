@@ -29,8 +29,7 @@ reported as the gap: it ends at Newton decrement lambda <= 0.01.  Every
 earlier stage only places the iterate for the next shrink of mu, so it
 ends as soon as lambda <= 1/2.  The worked example takes 14 steps.  Of 50
 random qubit supports of 2-9 cells, 41 keep a block for the path (below),
-which takes about 34 steps on average; with every stage ended at
-lambda <= 0.01 the worked example took 19.
+which takes about 34 steps on average.
 
 The path only runs where it must.  Cells linked through shared rows or
 columns form the components of the support, and C is a direct sum of
@@ -69,20 +68,21 @@ whole block so that the stopping rule and the reported gap are those of
 the full problem.
 
 Grids that share their local dimensions and support are solved as one
-stack by ``ne_solve_batch`` (a sweep over angles is such a stack).  Every
-grid still on its path advances together: one lockstep step is one
-stacked Cholesky factorization of the (N, s, s) active blocks, one
-stacked inverse of their factors and one stacked (N, k, k) solve for the
-Newton steps.  The stack shares its split into lines and the path's
-sub-support.  Each grid keeps its own mu, step count and stop,
-so its iterates are exactly those of solving it alone, and a grid leaves
-the stack when it stops.  A step the roundoff guard must shorten is
-retried grid by grid.  With one grid on the path (``ne_solve``, or a
-stack whose other grids are zero on the path's sub-support) the scalar
-loop runs instead: the arrays are at most 12 x 12, so numpy's per-call
-overhead sets the cost, and at one row the stacked loop took 1.6-1.9x
-the scalar loop's time per step (five random supports, one thread on a
-shared 2-core x86 host).
+stack by ``ne_solve_batch`` (a sweep over angles is such a stack).  The
+Newton kernels take one grid or a stack: one lockstep step is one stacked
+Cholesky factorization of the (N, s, s) active blocks, one stacked inverse
+of their factors and one stacked (N, k, k) solve for the Newton steps.  The
+stack shares its split into lines and the path's sub-support.  Each grid
+keeps its own mu, step count and stop, so its iterates are exactly those of
+solving it alone; a grid that has stopped keeps its place and takes zero
+steps.  A step the roundoff guard must shorten is retried grid by grid.
+With one grid on the path (``ne_solve``, or a stack whose other grids are
+zero on the path's sub-support) the single-grid loop runs instead.  The
+arrays are at most 12 x 12, so numpy's per-call overhead sets the cost of
+both loops: on one thread of a shared 2-core x86 host, single solves
+through the stacked loop took 2.0x as long (1.17 vs 0.59 ms per solve over
+600 solves), and 19-angle sweeps through the single-grid loop 2.2-3.1x as
+long (27.8-39.3 vs 12.8 ms).
 Solver failures raise SolverError, which is not an input error.
 """
 
@@ -150,26 +150,52 @@ class _ActiveBlock:
         self.picks = np.concatenate([rows, cols])
 
     def cholesky(self, c: np.ndarray) -> np.ndarray | None:
-        """Cholesky factor of the active B(c), None when it is not PD."""
-        big = self.base.copy()
-        big.put(self.entries, c)
+        """Cholesky factor of the active B(c), None when it is not PD.
+
+        A stack c (N, k) gets its (N, s, s) factors, None unless all are PD.
+        """
+        if c.ndim == 1:
+            big = self.base.copy()
+            big.put(self.entries, c)
+        else:
+            big = np.repeat(self.base[None], len(c), axis=0)
+            big.reshape(len(c), -1)[:, self.entries] = np.concatenate([c, c], axis=1)
         try:
             return np.linalg.cholesky(big)
         except np.linalg.LinAlgError:
             return None
 
-    def cholesky_stack(self, cs: np.ndarray) -> np.ndarray | None:
-        """Factors of B(c) for every row of ``cs``, None unless all are PD."""
-        big = np.repeat(self.base[None], len(cs), axis=0)
-        big.reshape(len(cs), -1)[:, self.entries] = np.concatenate([cs, cs], axis=1)
-        try:
-            return np.linalg.cholesky(big)
-        except np.linalg.LinAlgError:
-            return None
+
+def _derivatives(
+    block: _ActiveBlock, chol: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """H and the diagonal of B^-1's mixed block, for one factor or a stack.
+
+    The stage objective f(c) = -<v, c> - mu log det B(c) has gradient
+    -2 mu g, with g = v / (2 mu) + that diagonal, and Hessian 2 mu H.
+    """
+    half = np.linalg.inv(chol).take(block.picks, axis=-1)
+    sel = half.swapaxes(-1, -2) @ half
+    mixed = sel[..., :k, k:]
+    hess = sel[..., :k, :k] * sel[..., k:, k:] + mixed * mixed.swapaxes(-1, -2)
+    return hess, mixed.diagonal(0, -2, -1)
 
 
 def _newton_step(hess: np.ndarray, g: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """Newton step H^-1 g and the squared decrement of f / mu."""
+    """Newton step H^-1 g and the squared decrement of f / mu.
+
+    Takes one H (k, k) and g (k,), or a stack (N, k, k) and (N, k).  A
+    singular H gives no step (step 0 in a stack) and decrement 0.
+    """
+    if g.ndim == 2:
+        try:
+            step = np.linalg.solve(hess, g[:, :, None])
+        except np.linalg.LinAlgError:
+            rows = [_newton_step(h, grad) for h, grad in zip(hess, g)]
+            zero = np.zeros(g.shape[1])
+            step = np.array([zero if one is None else one for one, _ in rows])
+            return step, np.array([lambda_sq for _, lambda_sq in rows])
+        return step[:, :, 0], 2.0 * (g[:, None, :] @ step)[:, 0, 0]
     try:
         step = np.linalg.solve(hess, g)
     except np.linalg.LinAlgError:
@@ -180,25 +206,21 @@ def _newton_step(hess: np.ndarray, g: np.ndarray) -> tuple[np.ndarray | None, fl
     return step, 2.0 * float(g @ step)
 
 
-def _newton_steps(hess: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_newton_step`` for stacked (N, k, k) Hessians and (N, k) gradients."""
-    try:
-        step = np.linalg.solve(hess, g[:, :, None])
-    except np.linalg.LinAlgError:
-        step = np.zeros(g.shape)
-        lambda_sq = np.empty(len(g))
-        for row, (h, grad) in enumerate(zip(hess, g)):
-            one, lambda_sq[row] = _newton_step(h, grad)
-            if one is not None:
-                step[row] = one
-        return step, lambda_sq
-    return step[:, :, 0], 2.0 * (g[:, None, :] @ step)[:, 0, 0]
-
-
 def _guarded_step(
-    block: _ActiveBlock, c: np.ndarray, step: np.ndarray, alpha: float
+    block: _ActiveBlock, c: np.ndarray, step: np.ndarray, alpha: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The step from c, halved while roundoff leaves B(c) not PD."""
+    """The step from c, halved while roundoff leaves B(c) not PD.
+
+    A stack (c and step of shape (N, k), alpha of shape (N,)) tries every
+    row's step at once; when some B(c) is not PD, each row is guarded alone.
+    """
+    if c.ndim == 2:
+        trial = c + alpha[:, None] * step
+        chol = block.cholesky(trial)
+        if chol is not None:
+            return trial, chol
+        moved = [_guarded_step(block, *row) for row in zip(c, step, alpha.tolist())]
+        return np.array([row for row, _ in moved]), np.array([f for _, f in moved])
     trial = c + alpha * step
     chol = block.cholesky(trial)
     while chol is None:
@@ -232,16 +254,11 @@ def _maximize(
     steps = 0
 
     while True:
-        # the stage objective f(c) = -<v, c> - mu log det B(c) has gradient
-        # -2 mu g and Hessian 2 mu H, so the Newton step is H^-1 g.  H does
-        # not depend on mu: when the iterate is centered, mu shrinks and
-        # only g is formed anew
-        half = np.linalg.inv(chol)[:, block.picks]
-        sel = half.T @ half
-        mixed = sel[:k, k:]
-        hess = sel[:k, :k] * sel[k:, k:] + mixed * mixed.T
+        # H does not depend on mu: when the iterate is centered, mu shrinks
+        # and only g is formed anew
+        hess, diag = _derivatives(block, chol, k)
         while True:
-            g = v * (0.5 / mu) + mixed.diagonal()
+            g = v * (0.5 / mu) + diag
             step, lambda_sq = _newton_step(hess, g)
             last = nu * mu <= 0.5 * opts.tol
             if lambda_sq > (_CENTERED_DECREMENT if last else _STAGE_DECREMENT):
@@ -273,62 +290,39 @@ def _maximize_stack(
     nu = m + n
     count, k = v.shape
     block = _ActiveBlock(support, t)
-    out_c = np.empty((count, k))
-    out_steps = np.empty(count, dtype=int)
-    out_gap = np.empty(count)
-    live = np.arange(count)
     c = np.zeros((count, k))
-    chol = block.cholesky_stack(c)
+    chol = block.cholesky(c)
     mu = np.ones(count)
-    steps = 0
+    steps = np.zeros(count, dtype=int)
+    # a stopped row keeps its iterate: it takes step 0 with decrement 0
+    done = np.zeros(count, dtype=bool)
+    step = np.empty((count, k))
+    lambda_sq = np.empty(count)
 
     while True:
-        half = np.linalg.inv(chol)[..., block.picks]
-        sel = half.transpose(0, 2, 1) @ half
-        mixed = sel[:, :k, k:]
-        hess = sel[:, :k, :k] * sel[:, k:, k:] + mixed * mixed.transpose(0, 2, 1)
-        diag = np.diagonal(mixed, axis1=1, axis2=2)
-        done = np.zeros(len(live), dtype=bool)
-        step = np.empty((len(live), k))
-        lambda_sq = np.empty(len(live))
-        rows = np.arange(len(live))
+        hess, diag = _derivatives(block, chol, k)
+        rows = np.flatnonzero(~done)
         while rows.size:
             # a row centered for its mu stops on its last stage, or else
             # shrinks mu and forms g again, as the scalar loop does
             g = v[rows] * (0.5 / mu[rows])[:, None] + diag[rows]
-            step[rows], lambda_sq[rows] = _newton_steps(hess[rows], g)
+            step[rows], lambda_sq[rows] = _newton_step(hess[rows], g)
             last = nu * mu[rows] <= 0.5 * opts.tol
             bound = np.where(last, _CENTERED_DECREMENT, _STAGE_DECREMENT)
             centered = lambda_sq[rows] <= bound
-            done[rows[centered & last]] = True
+            stopped = rows[centered & last]
+            done[stopped] = True
+            step[stopped] = lambda_sq[stopped] = 0.0
             rows = rows[centered & ~last]
             mu[rows] *= opts.mu_factor
-        if done.any():
-            finished = live[done]
-            out_c[finished] = c[done]
-            out_steps[finished] = steps
-            out_gap[finished] = nu * mu[done]
-            keep = ~done
-            if not keep.any():
-                return out_c, out_steps, out_gap
-            live, v, c, mu = live[keep], v[keep], c[keep], mu[keep]
-            step, lambda_sq = step[keep], lambda_sq[keep]
-        steps += 1
-        if steps > opts.max_iter:
+        if done.all():
+            return c, steps, nu * mu
+        steps += ~done
+        if steps.max() > opts.max_iter:
             raise SolverError("interior-point iteration limit exceeded")
         lam = np.sqrt(lambda_sq)
         alpha = np.where(lam <= _QUADRATIC_PHASE, 1.0, 1.0 / (1.0 + lam))
-        trial = c + alpha[:, None] * step
-        chol = block.cholesky_stack(trial)
-        if chol is None:
-            # the roundoff guard fired on some row: step each one alone
-            moved = [
-                _guarded_step(block, row, dir_, a)
-                for row, dir_, a in zip(c, step, alpha.tolist())
-            ]
-            trial = np.array([row for row, _ in moved])
-            chol = np.array([factor for _, factor in moved])
-        c = trial
+        c, chol = _guarded_step(block, c, step, alpha)
 
 
 def _components(
@@ -419,13 +413,16 @@ def ne_solve_batch(
     m, n = da * da - 1, db * db - 1
     t = 1.0 / math.sqrt((da - 1) * (db - 1))
 
+    # indexing columns with a list gives a column-major array, so the parts
+    # below are made row-major: a strided row would round its sums and dot
+    # products differently from the same row solved alone
     lines, rest = _components(support)
     coeffs = np.zeros(values.shape)
     ne = np.zeros(len(grids))
     if lines:
         sizes = [len(line) for line in lines]
         order = np.concatenate(lines)
-        part = values[:, order]
+        part = np.ascontiguousarray(values[:, order])
         # hypot scales, so no square underflows; reduceat gives a one-cell
         # line its own entry, hence abs
         norms = np.hypot.reduceat(np.abs(part), np.cumsum([0] + sizes[:-1]), axis=1)
@@ -438,7 +435,7 @@ def ne_solve_batch(
     gaps = np.zeros(len(grids))
     if rest:
         cells = [support[k] for k in rest]
-        part = values[:, rest]
+        part = np.ascontiguousarray(values[:, rest])
         rows = np.flatnonzero(part.any(axis=1))
         paths: Sequence[np.ndarray] = []
         # the stack height picks the loop: at one row the scalar one is faster

@@ -215,6 +215,35 @@ def test_spi_rejects_terms_it_cannot_read_one_way(capsys, observable, message):
     assert message in err
 
 
+_HUGE = "9" * 401  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--grid", '{"dims":[2,2],"correlators":{"XX":%s}}' % _HUGE],
+         "correlator XX is too large"),
+        (["witness", "--grid", '{"dims":[2,2],"correlators":{"ZY":-%s}}' % _HUGE],
+         "correlator ZY is too large"),
+        (["verify", "--grid", '{"dims":[%s,2],"correlators":{"0,0":0.5}}' % _HUGE],
+         "local dimensions are too large"),
+        (["spi", "--observable", '[{"coeff":%s,"paulis":"ZZ"}]' % _HUGE],
+         "coeff is too large"),
+        (["simulate", "--family", "bell", "--shots", str(2**63), "--seed", "1"],
+         "shots must lie in"),
+        (["sweep", "--family", "chi3", "--shots", str(2**63), "--seed", "1"],
+         "shots must lie in"),
+    ],
+    ids=["verify_correlator", "witness_correlator", "dims", "spi_coeff",
+         "simulate_shots", "sweep_shots"],
+)
+def test_numbers_beyond_range_are_input_errors(capsys, argv, message):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_spi_seed(capsys, monkeypatch):
     seeds = []
 

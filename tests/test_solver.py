@@ -314,11 +314,11 @@ def test_stacked_solve_matches_each_grid_alone(monkeypatch):
     stacks.append((guarded[0].measured, guarded))
 
     counts = {"stack failed": 0, "singular": 0}
-    stack, step = solver._ActiveBlock.cholesky_stack, solver._newton_step
+    factor, step = solver._ActiveBlock.cholesky, solver._newton_step
 
-    def counted_stack(self, cs):
-        out = stack(self, cs)
-        counts["stack failed"] += out is None
+    def counted_factor(self, c):
+        out = factor(self, c)
+        counts["stack failed"] += c.ndim == 2 and out is None
         return out
 
     def counted_step(hess, g):
@@ -327,7 +327,7 @@ def test_stacked_solve_matches_each_grid_alone(monkeypatch):
         return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver._ActiveBlock, "cholesky_stack", counted_stack)
+        patch.setattr(solver._ActiveBlock, "cholesky", counted_factor)
         patch.setattr(solver, "_newton_step", counted_step)
         stacked = [solver.ne_solve_batch(grids, cells) for cells, grids in stacks]
     # the stacks reach the roundoff guard and the singular-Hessian rule
@@ -351,18 +351,13 @@ def test_stacked_solve_matches_each_grid_alone(monkeypatch):
 
 def test_stacked_loop_factorizes_once_per_step(monkeypatch):
     calls = {"stack": 0, "single": 0}
-    stack, single = solver._ActiveBlock.cholesky_stack, solver._ActiveBlock.cholesky
+    factor = solver._ActiveBlock.cholesky
 
-    def counted_stack(self, cs):
-        calls["stack"] += 1
-        return stack(self, cs)
+    def counted(self, c):
+        calls["stack" if c.ndim == 2 else "single"] += 1
+        return factor(self, c)
 
-    def counted_single(self, c):
-        calls["single"] += 1
-        return single(self, c)
-
-    monkeypatch.setattr(solver._ActiveBlock, "cholesky_stack", counted_stack)
-    monkeypatch.setattr(solver._ActiveBlock, "cholesky", counted_single)
+    monkeypatch.setattr(solver._ActiveBlock, "cholesky", counted)
     rng = np.random.default_rng(53)
     blocks = 0
     for _ in range(10):
@@ -489,7 +484,7 @@ def test_active_block_is_feasible_exactly_inside_the_norm_ball():
             block = solver._ActiveBlock(support, t)
             inside = ratio < 1.0
             assert (block.cholesky(c) is not None) == inside
-            assert (block.cholesky_stack(c[None]) is not None) == inside
+            assert (block.cholesky(c[None]) is not None) == inside
             cases += 1
     assert cases > 150
 
@@ -543,19 +538,8 @@ def test_split_value_lies_between_whole_barrier_path_and_its_gap():
 
 
 def test_line_only_supports_factorize_nothing(monkeypatch):
-    calls = [0]
-    single, stack = solver._ActiveBlock.cholesky, solver._ActiveBlock.cholesky_stack
-
-    def counted_single(self, c):
-        calls[0] += 1
-        return single(self, c)
-
-    def counted_stack(self, cs):
-        calls[0] += 1
-        return stack(self, cs)
-
-    monkeypatch.setattr(solver._ActiveBlock, "cholesky", counted_single)
-    monkeypatch.setattr(solver._ActiveBlock, "cholesky_stack", counted_stack)
+    # counts one grid's factorizations and stacked ones alike
+    calls = _count_factorizations(monkeypatch)
     rng = np.random.default_rng(71)
     for dims in ((2, 2), (2, 3), (3, 3)):
         m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
@@ -622,3 +606,89 @@ def test_stacks_mixing_lines_and_a_block_equal_each_grid_alone():
                 t * 0.5 * (math.sqrt(len(row_line)) + wide), rel=1e-15
             )
     assert blocks == 7 * 24
+
+
+def _bits(result):
+    return (
+        result.value.hex(),
+        result.gap.hex(),
+        result.iterations,
+        tuple(float(c).hex() for c in result.coefficients.coeffs),
+    )
+
+
+def test_stacked_results_are_those_of_each_grid_alone_bit_for_bit():
+    rng = np.random.default_rng(83)
+    signs = {"XX": 1.0, "XZ": -1.0, "YX": 1.0, "YZ": -1.0, "ZX": -1.0, "ZY": -1.0}
+    guarded = [_grid(signs), _grid(dict.fromkeys(signs, 0.5))]
+    stacks = [_random_stack(rng) for _ in range(30)]
+    stacks.append((guarded[0].measured, guarded))
+    paths = 0
+    for cells, grids in stacks:
+        for grid, got in zip(grids, solver.ne_solve_batch(grids, cells)):
+            alone = solver.ne_solve(grid, cells)
+            assert _bits(got) == _bits(alone), (cells, sorted(grid.values.items()))
+            paths += alone.iterations > 0
+    assert paths > 100
+
+
+def _inside(rng, count, k):
+    """Rows c with ||C||_inf <= ||C||_F < 0.49: inside the ball of t = 0.5."""
+    cs = rng.uniform(-1.0, 1.0, size=(count, k))
+    return cs * 0.49 * rng.random((count, 1)) / np.linalg.norm(cs, axis=1, keepdims=True)
+
+
+def _random_block(rng):
+    """A random qutrit support (t = 0.5), its active block and a stack inside."""
+    flat = rng.choice(64, size=int(rng.integers(2, 10)), replace=False)
+    support = [divmod(int(f), 8) for f in flat]
+    cs = _inside(rng, int(rng.integers(2, 8)), len(support))
+    return support, solver._ActiveBlock(support, 0.5), cs
+
+
+def test_kernels_give_each_row_of_a_stack_its_single_grid_bits():
+    rng = np.random.default_rng(89)
+    for _ in range(40):
+        _, block, cs = _random_block(rng)
+        k = cs.shape[1]
+        chol = block.cholesky(cs)
+        hess, diag = solver._derivatives(block, chol, k)
+        g = rng.uniform(-1.0, 1.0, size=cs.shape) + diag
+        step, lambda_sq = solver._newton_step(hess, g)
+        for row, c in enumerate(cs):
+            one = block.cholesky(c)
+            assert np.array_equal(chol[row], one)
+            h, d = solver._derivatives(block, one, k)
+            assert np.array_equal(hess[row], h) and np.array_equal(diag[row], d)
+            s, sq = solver._newton_step(h, g[row])
+            assert np.array_equal(step[row], s) and lambda_sq[row] == sq
+        # a singular Hessian gets step 0 and decrement 0; the others keep theirs
+        singular = int(rng.integers(len(cs)))
+        hess[singular] = 0.0
+        fallback, fallback_sq = solver._newton_step(hess, g)
+        assert not fallback[singular].any() and fallback_sq[singular] == 0.0
+        others = np.arange(len(cs)) != singular
+        assert np.array_equal(fallback[others], step[others])
+        assert np.array_equal(fallback_sq[others], lambda_sq[others])
+
+
+def test_guarded_stack_halves_only_the_rows_that_leave_the_ball():
+    rng = np.random.default_rng(97)
+    for _ in range(40):
+        support, block, cs = _random_block(rng)
+        alpha = rng.uniform(0.5, 1.0, size=len(cs))
+        steps = (_inside(rng, *cs.shape) - cs) / alpha[:, None]
+        # one row steps from c = 0 to sigma_1(C) = 0.75: its full step leaves
+        # the ball of t = 0.5, its halved step stays inside
+        out = int(rng.integers(len(cs)))
+        cells = tuple(np.array(support).T)
+        dense = np.zeros((8, 8))
+        dense[cells] = rng.normal(size=len(support))
+        dense *= 0.75 / np.linalg.svd(dense, compute_uv=False)[0]
+        cs[out], steps[out], alpha[out] = 0.0, dense[cells], 1.0
+        trial, chol = solver._guarded_step(block, cs, steps, alpha)
+        for row in range(len(cs)):
+            one, factor = solver._guarded_step(block, cs[row], steps[row], alpha[row])
+            assert np.array_equal(trial[row], one) and np.array_equal(chol[row], factor)
+            taken = alpha[row] * (0.5 if row == out else 1.0)
+            assert np.array_equal(one, cs[row] + taken * steps[row])
