@@ -62,7 +62,10 @@ def parse_angle(text: str) -> float:
         if den == 0:
             raise ValueError("zero denominator in angle")
         sign = -1.0 if m.group(1) == "-" else 1.0
-        return sign * num * math.pi / den
+        try:
+            return sign * num * math.pi / den
+        except OverflowError:
+            raise ValueError(f"angle {text!r} is out of range") from None
     try:
         return float(token)
     except ValueError:
@@ -225,6 +228,9 @@ def cmd_spi(args: argparse.Namespace) -> int:
             terms.append((float(coeff), label))
         except OverflowError:
             raise ValueError("coeff is too large") from None
+    # lambda_max <= sum |coeff| for Pauli terms, so a finite sum keeps it finite
+    if not math.isfinite(sum(abs(coeff) for coeff, _ in terms)):
+        raise ValueError("sum of |coeff| is too large")
     obs = ObservableSum.from_pauli_strings(terms)
     res = spi_lambda_max(obs) if args.seed is None else spi_lambda_max(obs, args.seed)
     result = {

@@ -9,23 +9,26 @@ for observables O given as sums of local-operator products.  An
 ``ObservableSum`` holds its T terms in one form only, the one the sweep
 reads: a coefficient vector (T,) and, per site, a factor stack (T, d, d).
 Expectations, the dense matrix and block groupings are all computed from
-those stacks.  On product states the expectation factorizes, so fixing every site but one turns O
-into a small effective local operator whose top eigenvector is the exact
-single-site optimum.  Sweeping that update cyclically over the sites -
-separability power iteration - ascends monotonically and converges to a
-(local) maximum; a multistart over local basis eigenvectors plus random
-product states is used to escape poor basins.  The policy is fixed: the
-first 216 combinations of local eigenvectors, then 8 Haar-random product
-states drawn from ``seed`` (11 by default), the one knob.  All starts of
-one search advance in lockstep, and a start leaves the active set at its
-first sweep that gains less than 1e-10, or after 500 sweeps.  Qubit
-sites are swept in Bloch coordinates: a qubit's effective operator is
-g 1 + h . sigma, whose top eigenvector has Bloch vector h / |h|, so each
-update is that closed form over the S starts still active, and the
-spinors are formed once, at the end of the search.  Every other site update is one batched eigensolve
-over the ``(S, d, d)`` effective operators.  No global-optimality claim is
-attached to the outcome; results carry restart counts and convergence
-flags instead.
+those stacks.  On product states the expectation factorizes, so fixing
+every site but one turns O into a small effective local operator whose top
+eigenvector is the exact single-site optimum.  Sweeping that update
+cyclically over the sites - separability power iteration - ascends
+monotonically and converges to a (local) maximum; a multistart over local
+basis eigenvectors plus random product states is used to escape poor
+basins.  The policy is fixed: the first 216 combinations of local
+eigenvectors, then 8 Haar-random product states drawn from ``seed`` (11 by
+default), the one knob.  All starts of one search advance in lockstep, and
+a start leaves the active set at its first sweep that gains less than
+1e-10, or after 500 sweeps.  A search sweeps the coefficients scaled by
+the power of two that puts the largest |coefficient| in (0.5, 1], and
+scales its values back, so that these tolerances are relative to the
+observable.  Qubit sites are swept in Bloch coordinates: a qubit's
+effective operator is g 1 + h . sigma, whose top eigenvector has Bloch
+vector h / |h|, so each update is that closed form over the S starts still
+active, and the spinors are formed once, at the end of the search.  Every
+other site update is one batched eigensolve over the ``(S, d, d)``
+effective operators.  No global-optimality claim is attached to the
+outcome; results carry restart counts and convergence flags instead.
 
 k-separable relaxations reuse the same iteration with sites grouped into
 blocks: a block behaves as a single site of the product dimension and its
@@ -52,7 +55,6 @@ heuristic, not certified.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -234,35 +236,28 @@ def _site_eigenvectors(d: int) -> np.ndarray:
 
 
 def _eigen_starts(dims: tuple[int, ...], cap: int) -> list[np.ndarray]:
-    """Combinations of local eigenvectors, one ``(S, d)`` array per site."""
+    """First ``cap`` eigenvector products, last site fastest: ``(S, d)`` per site."""
     per_site = [_site_eigenvectors(d) for d in dims]
-    combos = list(itertools.islice(
-        itertools.product(*(range(len(v)) for v in per_site)), cap
-    ))
-    index = np.array(combos, dtype=int).reshape(len(combos), len(dims))
-    return [v[index[:, s]] for s, v in enumerate(per_site)]
-
-
-def _random_start(dims: tuple[int, ...], rng: np.random.Generator) -> list[np.ndarray]:
-    vecs = []
-    for d in dims:
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        vecs.append(v / np.linalg.norm(v))
-    return vecs
+    shape = tuple(len(v) for v in per_site)
+    index = np.unravel_index(np.arange(min(cap, math.prod(shape))), shape)
+    return [v[i] for v, i in zip(per_site, index)]
 
 
 def _starts(dims: tuple[int, ...], seed: int) -> list[np.ndarray]:
     """The multistart of ``spi_lambda_max``, one ``(S, d)`` array per site.
 
     The first ``_EIGEN_STARTS`` combinations of local eigenvectors in
-    enumeration order, then ``_RANDOM_STARTS`` Haar product states.
+    enumeration order, then ``_RANDOM_STARTS`` Haar product states, each
+    site's vector divided by its own ``np.linalg.norm`` (a row-wise norm
+    differs in the last bits).
     """
-    rng = np.random.default_rng(seed)
-    rows = [_random_start(dims, rng) for _ in range(_RANDOM_STARTS)]
-    return [
-        np.concatenate([v, np.array([r[s] for r in rows])])
-        for s, v in enumerate(_eigen_starts(dims, _EIGEN_STARTS))
-    ]
+    rows = np.random.default_rng(seed).standard_normal((_RANDOM_STARTS, 2 * sum(dims)))
+    starts = []
+    for v, d in zip(_eigen_starts(dims, _EIGEN_STARTS), dims):
+        z = rows[:, :d] + 1j * rows[:, d:2 * d]
+        rows = rows[:, 2 * d:]
+        starts.append(np.concatenate([v, [u / np.linalg.norm(u) for u in z]]))
+    return starts
 
 
 def _site_expectations(factors: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -424,10 +419,14 @@ def _lockstep_sweeps(
     (``expectations``), term weights to the next states (``update``) and
     states back to vectors (``vectors``).  A start leaves the active set
     at the first sweep that gains less than ``_SWEEP_TOL``; the rest advance
-    together.  Returns the final values, vectors and convergence flags per
-    start.
+    together.  The sweep runs on the coefficients scaled by the power of two
+    that puts the largest |coefficient| in (0.5, 1], so that the absolute
+    tolerances and h . h see unit scale; the values are scaled back.
+    Returns the final values, vectors and convergence flags per start.
     """
-    coeffs = obs.coefficients
+    mantissa, exponent = np.frexp(np.abs(obs.coefficients).max())
+    shift = int(exponent) - int(mantissa == 0.5)
+    coeffs = np.ldexp(obs.coefficients, -shift)
     sites = [
         _QubitSite(f) if f.shape[1] == 2 else _VectorSite(f) for f in obs.factor_stacks
     ]
@@ -465,6 +464,7 @@ def _lockstep_sweeps(
         for x, o in zip(states, out):
             o[live] = x
         values[live] = value
+    values = np.ldexp(values, shift)
     return values, [site.vectors(o) for site, o in zip(sites, out)], converged
 
 
@@ -557,17 +557,16 @@ def ne_multipartite(
     # the Pauli products, built once; each evaluation only reweights them
     paulis = ObservableSum.from_pauli_strings([(1.0, label) for label in labels])
     inner = _eigen_starts(paulis.dims, _INNER_STARTS)
-    rng = np.random.default_rng(_COEFF_SEED)
     k = len(labels)
     starts: list[np.ndarray] = []
     nrm = float(np.linalg.norm(est))
     if nrm > 0:
         starts.append(est / nrm)
     starts.extend(np.eye(k)[i] for i in range(min(k, 7)))
-    while len(starts) < _COEFF_STARTS:
-        v = rng.standard_normal(k)
-        starts.append(v / np.linalg.norm(v))
-    starts = starts[:_COEFF_STARTS]
+    # at most 1 + 7 fixed starts, so random ones fill up to _COEFF_STARTS
+    rng = np.random.default_rng(_COEFF_SEED)
+    draws = rng.standard_normal((_COEFF_STARTS - len(starts), k))
+    starts.extend(v / np.linalg.norm(v) for v in draws)
 
     def oriented(c: np.ndarray) -> np.ndarray:
         # sum c_k e_k <= lambda_max(sum c_k O_k) bounds separable data only

@@ -229,12 +229,19 @@ _HUGE = "9" * 401  # a JSON integer beyond the float range
          "local dimensions are too large"),
         (["spi", "--observable", '[{"coeff":%s,"paulis":"ZZ"}]' % _HUGE],
          "coeff is too large"),
+        (["spi", "--observable",
+          '[{"coeff":1.5e308,"paulis":"ZZ"},{"coeff":1.5e308,"paulis":"ZI"}]'],
+         "sum of |coeff| is too large"),
+        (["simulate", "--family", "bell", "--theta=%spi" % _HUGE], "is out of range"),
+        (["simulate", "--family", "bell", "--theta=pi/%s" % _HUGE], "is out of range"),
+        (["sweep", "--family", "bell", "--from=-%spi" % _HUGE], "is out of range"),
         (["simulate", "--family", "bell", "--shots", str(2**63), "--seed", "1"],
          "shots must lie in"),
         (["sweep", "--family", "chi3", "--shots", str(2**63), "--seed", "1"],
          "shots must lie in"),
     ],
-    ids=["verify_correlator", "witness_correlator", "dims", "spi_coeff",
+    ids=["verify_correlator", "witness_correlator", "dims", "spi_coeff", "spi_coeff_sum",
+         "simulate_pi_numerator", "simulate_pi_denominator", "sweep_pi_numerator",
          "simulate_shots", "sweep_shots"],
 )
 def test_numbers_beyond_range_are_input_errors(capsys, argv, message):

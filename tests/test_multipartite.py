@@ -1,5 +1,6 @@
 """Product-state optimization: sweeps, blocks, and the coefficient search."""
 
+import itertools
 import math
 
 import numpy as np
@@ -130,6 +131,52 @@ def test_scaling_and_identity_shift():
     assert mp.spi_lambda_max(shifted).lambda_max == pytest.approx(
         lam + 0.25, abs=1e-8
     )
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e-11, 1.0, 1e100, 1e200])
+def test_spi_is_accurate_at_any_scale(scale):
+    # the product-state maximum of ZZ + XZ is sqrt(2) at every scale: the
+    # sweep's absolute tolerances would freeze every start below ~1e-10,
+    # and h . h would overflow above ~1e154, without the power-of-two scaling
+    obs = mp.ObservableSum.from_pauli_strings([(scale, "ZZ"), (scale, "XZ")])
+    res = mp.spi_lambda_max(obs)
+    assert res.converged
+    assert res.lambda_max == pytest.approx(math.sqrt(2) * scale, rel=1e-14, abs=0)
+
+
+def _reference_eigen_starts(dims, cap):
+    """Eigenvector combinations enumerated one at a time by itertools.product."""
+    per_site = [mp._site_eigenvectors(d) for d in dims]
+    combos = itertools.islice(itertools.product(*(range(len(v)) for v in per_site)), cap)
+    rows = [[v[i] for v, i in zip(per_site, combo)] for combo in combos]
+    return [np.array([row[s] for row in rows]) for s in range(len(dims))]
+
+
+def _reference_starts(dims, seed):
+    """The multistart drawn one start and one site at a time."""
+    rng = np.random.default_rng(seed)
+    randoms = [[] for _ in dims]
+    for _ in range(mp._RANDOM_STARTS):
+        for s, d in enumerate(dims):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            randoms[s].append(v / np.linalg.norm(v))
+    eigen = _reference_eigen_starts(dims, mp._EIGEN_STARTS)
+    return [np.concatenate([e, np.array(r)]) for e, r in zip(eigen, randoms)]
+
+
+@pytest.mark.parametrize(
+    "dims", [(2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3), (2, 3, 2), (4, 2), (8, 8)]
+)
+def test_start_arrays_equal_the_one_at_a_time_construction(dims):
+    # 2000 exceeds the number of combinations for every dims but (8, 8)
+    for cap in (12, 216, 2000):
+        got = mp._eigen_starts(dims, cap)
+        want = _reference_eigen_starts(dims, cap)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    for seed in (0, 1, 5, 11, 99):
+        got = mp._starts(dims, seed)
+        want = _reference_starts(dims, seed)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 def test_bipartite_pauli_lambda_is_operator_norm():
