@@ -9,8 +9,8 @@ with sorted keys and no whitespace, so identical invocations produce
 byte-identical output.  Sweeps emit plot-ready CSV by default.  Exit codes
 follow the certification outcome: 0 when the data certify entanglement,
 1 when they do not, 2 on any input error, 3 when the solver fails on
-valid input (iteration limit or stalled step).  A sweep over more than
-three correlators solves all of its angles as one stack.
+valid input (iteration limit or stalled step).  A sweep solves all of its
+angles as one stack.
 
 Angles are accepted as exact fractions of pi ('7pi/9', '-pi/2', 'pi') or
 as plain decimal radians.  The default solver tolerance can be set through
@@ -274,6 +274,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.shots is not None and args.seed is None:
         raise ValueError("--seed is required when sampling with --shots")
     lo, hi = parse_angle(getattr(args, "from")), parse_angle(args.to)
+    # np.linspace warns on bounds, or a span, that are not finite
+    if not all(map(math.isfinite, (lo, hi, hi - lo))):
+        raise ValueError("the sweep range must be finite")
     support = _measurement_set(args) or MeasurementSet.parse(
         "XX,XY,XZ,YX,YY,YZ,ZX,ZY,ZZ"
     )
@@ -289,10 +292,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         for k, theta in enumerate(thetas)
     ]
-    if len(support) <= 3:
-        results = [patterns.ne_closed_form(support, grid) for grid in grids]
-    else:
-        results = solver.ne_solve_batch(grids, support, opts)
+    results = solver.ne_solve_batch(grids, support, opts)
     rows = [(theta, res.value, res.verdict) for theta, res in zip(thetas, results)]
     rows.sort(key=lambda r: r[0])
     config = (

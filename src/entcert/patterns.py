@@ -1,11 +1,10 @@
-"""Qubit measurement-pattern classification and closed-form estimation.
+"""Qubit measurement-pattern classification.
 
 Which correlators were measured determines how much entanglement the data
 can certify.  Up to independent relabelings of the two local measurement
 triples (the unsigned permutation action of S3 x S3 on rows and columns of
 the 3x3 correlator grid), every set of one to three qubit correlators falls
-into one of a handful of classes, and each class has an exact closed form
-for the optimal normalized estimation:
+into one of a handful of classes:
 
     LineRow / LineCol / ThreeLine   all entries share a row (or column);
                                     the optimum is the Euclidean norm of the
@@ -20,49 +19,29 @@ for the optimal normalized estimation:
                                     entry sharing neither index:
                                     sqrt(a^2 + b^2) + |c|.
     LShape                          a corner: entry pairs sharing a row and
-                                    a column.  The optimum is a smallest
-                                    corner completion (see below).
-    General                         four or more entries: no closed form
-                                    here; use the interior-point solver,
-                                    which takes its own closed form on
-                                    supports made only of lines (the rule
-                                    below) and runs its barrier path only
-                                    on the other components.
+                                    a column; its optimum is a smallest
+                                    corner completion.
+    General                         four or more entries.
 
-Every class but the L-shape follows one rule.  The support splits into
-row lines (column lines when two entries share a column) that share no
-index with each other, so the coefficient matrix is a direct sum of line
-vectors and its spectral norm is the largest of their norms.  The optimum
-is therefore the sum of the lines' Euclidean norms, reached by aligning
-each line's coefficients with its data; a zero line gets coefficient 1 on
-its first cell.
-
-The L-shape optimum comes from the completion identity
-
-    NE = min_mu  nuclear_norm([[a, b], [c, mu]]):
-
-adding an unconstrained coefficient at the unmeasured corner cannot help,
-so the maximum over unit-spectral-norm coefficient matrices supported on
-the L equals the smallest nuclear norm over corner completions of the
-data.  With a the entry sharing a row with b and a column with c, the
-minimizer is mu* = bc/a when |bc| < a^2, giving
-
-    NE = sqrt((a^2 + b^2)(a^2 + c^2)) / |a|,
-
-and mu* = sign(bc) a otherwise, giving NE = |b| + |c|.  The optimizing
-coefficients are the polar factor of the completed matrix, in closed form
-too, and sit exactly on the constraint boundary.
+This module only classifies.  Every optimum above is a closed form that
+the solver takes on the support's components (lines and corners; see
+``entcert.solver``), so ``ne_closed_form`` checks that a support has a
+class and returns ``ne_solve`` on it: every qubit support of one to three
+cells takes no Newton step.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import solver
 from .grids import CorrelatorGrid, MeasurementSet
-from .witness import CoefficientMatrix, NEResult, make_witness_pair
+from .witness import NEResult
+# unused here: the benchmark tracer wraps entcert.patterns.make_witness_pair by
+# name, so the name stays importable from this module
+from .witness import make_witness_pair  # noqa: F401
 
 TAG_LINE_ROW = "LineRow"
 TAG_LINE_COL = "LineCol"
@@ -187,86 +166,13 @@ def classify(cells: Iterable[tuple[int, int]]) -> PatternClass:
 # -- closed forms -------------------------------------------------------------
 
 
-def _grid_values(
-    g: CorrelatorGrid, cells: tuple[tuple[int, int], ...]
-) -> dict[tuple[int, int], float]:
-    return {cell: g.value_at(cell) for cell in cells}
-
-
-def _result(
-    value: float,
-    support: tuple[tuple[int, int], ...],
-    coeffs: tuple[float, ...],
-) -> NEResult:
-    matrix = CoefficientMatrix((2, 2), support, coeffs)
-    return NEResult(
-        value=value,
-        coefficients=matrix,
-        witness=make_witness_pair(matrix) if not matrix.is_zero() else None,
-    )
-
-
-def _lines_result(values: dict[tuple[int, int], float]) -> NEResult:
-    # the rule of every class but the L-shape (module docstring): the sum of
-    # the line norms, with coefficients aligned to each line's data
-    cells = tuple(sorted(values))
-    cols = [j for _, j in cells]
-    axis = 1 if len(set(cols)) < len(cols) else 0
-    lines: dict[int, list[tuple[int, int]]] = {}
-    for cell in cells:
-        lines.setdefault(cell[axis], []).append(cell)
-    value = 0.0
-    coeffs: dict[tuple[int, int], float] = {}
-    for line in lines.values():
-        vec = [values[c] for c in line]
-        # hypot scales, so no square underflows
-        nrm = math.hypot(*vec)
-        value += nrm
-        if nrm == 0.0:
-            unit = [1.0] + [0.0] * (len(line) - 1)
-        else:
-            unit = [x / nrm for x in vec]
-        coeffs.update(zip(line, unit))
-    return _result(value, cells, tuple(coeffs[c] for c in cells))
-
-
-def _lshape_result(values: dict[tuple[int, int], float]) -> NEResult:
-    cells = tuple(sorted(values))
-    rows = [i for i, _ in cells]
-    cols = [j for _, j in cells]
-    corner = next(
-        c for c in cells if rows.count(c[0]) == 2 and cols.count(c[1]) == 2
-    )
-    rowmate = next(c for c in cells if c != corner and c[0] == corner[0])
-    colmate = next(c for c in cells if c != corner and c[1] == corner[1])
-    a, b, c = values[corner], values[rowmate], values[colmate]
-
-    # The optimal coefficients are the polar factor of the completion at the
-    # minimizing corner, which vanishes there.
-    if abs(b * c) < a * a:
-        # mu* = bc/a: the completion has rank one, and the corner fixes the
-        # weight -sign(a) bc/a^2 of the complementary singular pair
-        row, col = math.hypot(a, b), math.hypot(a, c)
-        value = row * col / abs(a)
-        coeffs = (
-            (a**4 - (b * c) ** 2) / (a * abs(a) * row * col),
-            b * col / (abs(a) * row),
-            c * row / (abs(a) * col),
-        )
-    else:
-        # mu* = sign(bc) a: the polar factor is the signed swap of b and c
-        value = abs(b) + abs(c)
-        coeffs = (0.0, math.copysign(1.0, b), math.copysign(1.0, c))
-    by_cell = dict(zip((corner, rowmate, colmate), coeffs))
-    return _result(value, cells, tuple(by_cell[cell] for cell in cells))
-
-
 def ne_closed_form(cells: Iterable[tuple[int, int]], g: CorrelatorGrid) -> NEResult:
     """Exact optimal normalized estimation for 1-3 measured correlators.
 
     ``cells`` is any iterable of qubit cells, a ``MeasurementSet`` among
-    them.  Raises for General patterns (no closed form) and for correlators
-    missing from the grid.
+    them.  The result is ``ne_solve`` on those cells, which solves every
+    such support in closed form.  Raises for General patterns and for
+    correlators missing from the grid.
     """
     if g.dims != (2, 2):
         raise ValueError("closed forms apply to qubit grids only")
@@ -274,10 +180,7 @@ def ne_closed_form(cells: Iterable[tuple[int, int]], g: CorrelatorGrid) -> NERes
     pattern = classify(cells)
     if pattern.tag == TAG_GENERAL:
         raise ValueError("no closed form for this pattern; use the general solver")
-    values = _grid_values(g, cells)
-    if pattern.tag == TAG_L_SHAPE:
-        return _lshape_result(values)
-    return _lines_result(values)
+    return solver.ne_solve(g, cells)
 
 
 # -- orbit enumeration ---------------------------------------------------------

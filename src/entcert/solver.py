@@ -27,21 +27,46 @@ the exact constraint boundary, where the optimum always lies.
 Only the last stage must be centered tightly, since only its nu * mu is
 reported as the gap: it ends at Newton decrement lambda <= 0.01.  Every
 earlier stage only places the iterate for the next shrink of mu, so it
-ends as soon as lambda <= 1/2.  The worked example takes 14 steps.  Of 50
-random qubit supports of 2-9 cells, 41 keep a block for the path (below),
-which takes about 34 steps on average.
+ends as soon as lambda <= 1/2.  On the whole support of the worked example
+(XX, XY, ZX; a corner, below) the path takes 14 steps.
 
 The path only runs where it must.  Cells linked through shared rows or
 columns form the components of the support, and C is a direct sum of
 their blocks: ||C||_inf is the largest block norm, and the optimum is the
-sum of the block optima.  A component that lies in one row or one column
-(a line) is a vector, whose optimum is exactly t * ||v_line||_2, reached by
-c = t * v_line / ||v_line||_2 (zero on a zero line).  Every other
-component goes into one sub-support, which follows the path above with
-nu still counting the whole grid: the blocks it holds have side at most
-nu, so nu * mu still bounds its gap.  Only that part is polished.  A
-support made of lines alone, or whose other components hold zero data,
-takes no Newton step and reports gap 0.
+sum of the block optima.  Two kinds of component have exact closed forms.
+
+A component that lies in one row or one column (a line) is a vector,
+whose optimum is exactly t * ||v_line||_2, reached by
+c = t * v_line / ||v_line||_2 (zero on a zero line).
+
+Any other component of three cells spans two rows and two columns (a
+corner): an entry a that shares its row with b and its column with c.
+Its optimum is t times that of the qubit corner, from the completion
+identity
+
+    NE = min_mu  nuclear_norm([[a, b], [c, mu]]):
+
+adding an unconstrained coefficient at the unmeasured cell cannot help,
+so the maximum over unit-spectral-norm coefficient matrices supported on
+the corner equals the smallest nuclear norm over completions of the data.
+The minimizer is mu* = bc/a when |bc| < a^2, giving
+
+    NE = sqrt((a^2 + b^2)(a^2 + c^2)) / |a|,
+
+and mu* = sign(bc) a otherwise, giving NE = |b| + |c|.  The optimizing
+coefficients are the polar factor of the completed matrix, in closed form
+too, and sit exactly on the constraint boundary.  Each corner is solved on
+its data scaled by the power of two that puts the largest |entry| in
+(0.5, 1], so that a^4 neither underflows nor overflows; the value is
+scaled back.
+
+Every other component goes into one sub-support, which follows the path
+above with nu still counting the whole grid: the blocks it holds have side
+at most nu, so nu * mu still bounds its gap.  Only that part is polished.
+A support made of lines and corners alone, or whose other components hold
+zero data, takes no Newton step and reports gap 0; so does every qubit
+support of at most three cells.  Of 50 random qubit supports of 2-9 cells,
+36 keep a component for the path, which takes about 35 steps on average.
 
 The stage objective is self-concordant, so the damped Newton step of
 length 1 / (1 + lambda), with lambda the Newton decrement, stays inside the
@@ -72,17 +97,18 @@ stack by ``ne_solve_batch`` (a sweep over angles is such a stack).  The
 Newton kernels take one grid or a stack: one lockstep step is one stacked
 Cholesky factorization of the (N, s, s) active blocks, one stacked inverse
 of their factors and one stacked (N, k, k) solve for the Newton steps.  The
-stack shares its split into lines and the path's sub-support.  Each grid
-keeps its own mu, step count and stop, so its iterates are exactly those of
-solving it alone; a grid that has stopped keeps its place and takes zero
-steps.  A step the roundoff guard must shorten is retried grid by grid.
-With one grid on the path (``ne_solve``, or a stack whose other grids are
-zero on the path's sub-support) the single-grid loop runs instead.  The
-arrays are at most 12 x 12, so numpy's per-call overhead sets the cost of
-both loops: on one thread of a shared 2-core x86 host, single solves
-through the stacked loop took 2.0x as long (1.17 vs 0.59 ms per solve over
-600 solves), and 19-angle sweeps through the single-grid loop 2.2-3.1x as
-long (27.8-39.3 vs 12.8 ms).
+stack shares its split into lines, corners and the path's sub-support, and
+the closed forms work elementwise.  Each grid keeps its own mu, step count
+and stop, so its iterates are exactly those of solving it alone; a grid
+that has stopped keeps its place and takes zero steps.  A step the
+roundoff guard must shorten is retried grid by grid.  With one grid on
+the path (``ne_solve``, or a stack whose other grids are zero on the
+path's sub-support) the single-grid loop runs instead.  The arrays are at
+most 12 x 12, so numpy's per-call overhead sets the cost of both loops:
+on one thread of a shared 2-core x86 host, single solves through the
+stacked loop took 2.0x as long (1.17 vs 0.59 ms per solve over 600
+solves), and 19-angle sweeps through the single-grid loop 2.2-3.1x as long
+(27.8-39.3 vs 12.8 ms).
 Solver failures raise SolverError, which is not an input error.
 """
 
@@ -327,11 +353,12 @@ def _maximize_stack(
 
 def _components(
     support: Sequence[tuple[int, int]],
-) -> tuple[list[list[int]], list[int]]:
-    """Positions of the support's line components, and of its other cells.
+) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Positions of the support's lines and corners, and of its other cells.
 
     Cells sharing a row or a column are connected.  A component whose cells
-    all lie in one row or one column is a line.
+    all lie in one row or one column is a line.  Any other component of
+    three cells is a corner, given as (corner, row mate, column mate).
     """
     groups: list[tuple[set[int], set[int], list[int]]] = []
     for k, (i, j) in enumerate(support):
@@ -342,11 +369,47 @@ def _components(
             cols |= group[1]
             cells += group[2]
         groups.append((rows, cols, cells))
-    lines = [sorted(cells) for rows, cols, cells in groups
-             if len(rows) == 1 or len(cols) == 1]
-    rest = sorted(k for rows, cols, cells in groups
-                  if len(rows) > 1 and len(cols) > 1 for k in cells)
-    return lines, rest
+    lines, corners, rest = [], [], []
+    for rows, cols, cells in groups:
+        if len(rows) == 1 or len(cols) == 1:
+            lines.append(sorted(cells))
+        elif len(cells) == 3:
+            # the corner cell is the one linked to both others
+            for k in cells:
+                i, j = support[k]
+                row = [o for o in cells if o != k and support[o][0] == i]
+                col = [o for o in cells if o != k and support[o][1] == j]
+                if row and col:
+                    corners.append([k, row[0], col[0]])
+        else:
+            rest += cells
+    return lines, corners, sorted(rest)
+
+
+def _corners(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optima and coefficients of corners at t = 1, from (..., 3) entries (a, b, c).
+
+    a shares its row with b and its column with c (module docstring).
+    """
+    mantissa, exponent = np.frexp(np.abs(part).max(axis=-1))
+    shift = exponent - (mantissa == 0.5)
+    a, b, c = np.moveaxis(np.ldexp(part, -shift[..., None]), -1, 0)
+    # mu* = sign(bc) a: the polar factor is the signed swap of b and c.  Where
+    # b or c is zero so is a, and a zero coefficient on it is optimal too.
+    value = np.abs(b) + np.abs(c)
+    coeffs = np.stack([np.zeros_like(a), np.sign(b), np.sign(c)], axis=-1)
+    # mu* = bc/a: the completion has rank one, and the corner fixes the
+    # weight -sign(a) bc/a^2 of the complementary singular pair
+    rank_one = np.abs(b * c) < a * a
+    a, b, c = a[rank_one], b[rank_one], c[rank_one]
+    row, col, size = np.hypot(a, b), np.hypot(a, c), np.abs(a)
+    value[rank_one] = row * col / size
+    coeffs[rank_one] = np.stack([
+        (a**4 - (b * c) ** 2) / (a * size * row * col),
+        b * col / (size * row),
+        c * row / (size * col),
+    ], axis=-1)
+    return np.ldexp(value, shift), coeffs
 
 
 def _polish(
@@ -416,7 +479,7 @@ def ne_solve_batch(
     # indexing columns with a list gives a column-major array, so the parts
     # below are made row-major: a strided row would round its sums and dot
     # products differently from the same row solved alone
-    lines, rest = _components(support)
+    lines, corners, rest = _components(support)
     coeffs = np.zeros(values.shape)
     ne = np.zeros(len(grids))
     if lines:
@@ -431,6 +494,10 @@ def ne_solve_batch(
         # a zero line keeps zero coefficients
         unit = np.divide(part, spread, out=np.zeros(part.shape), where=spread > 0.0)
         coeffs[:, order] = t * unit
+    if corners:
+        optima, unit = _corners(np.ascontiguousarray(values[:, corners]))
+        ne += t * optima.sum(axis=1)
+        coeffs[:, corners] = t * unit
     steps = np.zeros(len(grids), dtype=int)
     gaps = np.zeros(len(grids))
     if rest:

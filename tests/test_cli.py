@@ -121,7 +121,8 @@ def test_verify_output_is_byte_stable(capsys, tmp_path):
 
 def test_tolerance_env_var_and_flag_precedence(capsys, tmp_path, monkeypatch):
     path = _chi3_file(tmp_path)
-    argv = ["verify", "--input", path, "--set", "XX,XY,ZX"]
+    # a full 2 x 2 block: the barrier path runs and reports its gap
+    argv = ["verify", "--input", path, "--set", "XX,XY,YX,YY"]
     monkeypatch.setenv("ENTCERT_TOL", "1e-2")
     _, out, _ = _run(capsys, argv)
     loose_gap = json.loads(out)["result"]["gap"]
@@ -239,10 +240,14 @@ _HUGE = "9" * 401  # a JSON integer beyond the float range
          "shots must lie in"),
         (["sweep", "--family", "chi3", "--shots", str(2**63), "--seed", "1"],
          "shots must lie in"),
+        (["sweep", "--family", "bell", "--from", "1e999", "--to", "1"],
+         "sweep range must be finite"),
+        (["sweep", "--family", "bell", "--from", "1e308", "--to=-1e308"],
+         "sweep range must be finite"),
     ],
     ids=["verify_correlator", "witness_correlator", "dims", "spi_coeff", "spi_coeff_sum",
          "simulate_pi_numerator", "simulate_pi_denominator", "sweep_pi_numerator",
-         "simulate_shots", "sweep_shots"],
+         "simulate_shots", "sweep_shots", "sweep_infinite_bound", "sweep_infinite_span"],
 )
 def test_numbers_beyond_range_are_input_errors(capsys, argv, message):
     rc, out, err = _run(capsys, argv)
@@ -374,8 +379,9 @@ def test_solver_failure_has_its_own_exit_code(capsys, tmp_path):
     path = _chi3_file(tmp_path)
     for argv in (
         ["verify", "--input", path, "--max-iter", "1"],
-        # XX,XY,YY is an L-shape: Bell data there take the barrier path
-        ["sweep", "--family", "bell", "--set", "XX,XY,YY,ZZ", "--max-iter", "1"],
+        # XX,XY,YX,YY is a full 2 x 2 block: Bell data there take the
+        # barrier path
+        ["sweep", "--family", "bell", "--set", "XX,XY,YX,YY", "--max-iter", "1"],
     ):
         rc, out, err = _run(capsys, argv)
         assert rc == 3

@@ -242,6 +242,15 @@ def test_line_norms_do_not_underflow():
     assert line.coefficients.coeffs == pytest.approx((0.6, -0.8), rel=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-100, 1e-80, 1e-40, 1e-11, 1.0])
+def test_lshape_is_accurate_at_any_scale(scale):
+    g = _grid({"XX": scale, "XY": 0.1 * scale, "YX": 0.1 * scale})
+    r = patterns.ne_closed_form(MeasurementSet.parse("XX,XY,YX"), g)
+    assert r.value == pytest.approx(1.01 * scale, rel=1e-15, abs=0.0)
+    assert r.coefficients.coeffs == pytest.approx((0.99, 0.1, 0.1), rel=1e-15, abs=0.0)
+    assert (r.iterations, r.gap) == (0, 0.0)
+
+
 # -- orbits --------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Interior-point solver against closed forms, identities, and sampling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,13 +8,30 @@ import pytest
 
 from entcert import patterns, qmodel, solver
 from entcert.grids import CorrelatorGrid, MeasurementSet
+from entcert.witness import CoefficientMatrix, NEResult
 
 
 def _grid(d):
     return CorrelatorGrid.from_labels(d)
 
 
+# the worked example is a corner, which ne_solve takes in closed form;
+# BLOCK is a full 2 x 2 block, which takes the barrier path
 MAIN = _grid({"XX": -0.95, "XY": 0.03, "ZX": -0.96})
+BLOCK = _grid({"XX": 0.9, "XY": -0.3, "YX": 0.2, "YY": 0.8})
+
+
+def _barrier(grid, cells):
+    """The whole support through the barrier path, polished, as an NEResult."""
+    support = tuple(sorted(cells))
+    v = np.array([grid.value_at(c) for c in support])
+    dims = grid.dims
+    m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    t = 1.0 / math.sqrt((dims[0] - 1) * (dims[1] - 1))
+    c, steps, gap = solver._maximize(v, support, m, n, t, solver.SolverOptions())
+    coeffs = solver._polish(v, c, dims, support, t)
+    matrix = CoefficientMatrix(dims, support, tuple(coeffs.tolist()))
+    return NEResult(abs(float(v @ coeffs)), matrix, steps, gap)
 
 
 def test_options_validation():
@@ -27,7 +45,7 @@ def test_options_validation():
 
 def test_worked_example_matches_closed_form():
     mset = MeasurementSet.parse("XX,XY,ZX")
-    got = solver.ne_solve(MAIN, mset)
+    got = _barrier(MAIN, mset)
     ref = patterns.ne_closed_form(mset, MAIN)
     assert got.value == pytest.approx(ref.value, abs=1e-6)
     assert got.value == pytest.approx(1.35, abs=0.01)
@@ -53,7 +71,7 @@ def _count_factorizations(monkeypatch):
 
 def test_worked_example_takes_few_damped_steps(monkeypatch):
     calls = _count_factorizations(monkeypatch)
-    got = solver.ne_solve(MAIN, MeasurementSet.parse("XX,XY,ZX"))
+    got = _barrier(MAIN, MeasurementSet.parse("XX,XY,ZX"))
     assert got.value == pytest.approx(1.3512657203864136, abs=1e-12)
     assert got.iterations <= 25
     # one factorization at the start, then one per accepted step
@@ -62,7 +80,8 @@ def test_worked_example_takes_few_damped_steps(monkeypatch):
 
 def _has_block(cells):
     """Whether some component of the cells (linked through shared rows or
-    columns) spans two rows and two columns, so that it is not a line."""
+    columns) spans two rows and two columns and holds more than three cells,
+    so that it is neither a line nor a corner."""
     left = set(cells)
     while left:
         component = {left.pop()}
@@ -73,7 +92,8 @@ def _has_block(cells):
             left -= linked
             component |= linked
             frontier.extend(linked)
-        if len({i for i, _ in component}) > 1 and len({j for _, j in component}) > 1:
+        rows, cols = {i for i, _ in component}, {j for _, j in component}
+        if len(rows) > 1 and len(cols) > 1 and len(component) > 3:
             return True
     return False
 
@@ -96,9 +116,51 @@ def test_every_damped_step_is_feasible_first_time(monkeypatch):
             blocks += 1
             assert calls[0] == got.iterations + 1, sorted(g.values.items())
         else:
-            # only lines: closed forms, no barrier path
+            # only lines and corners: closed forms, no barrier path
             assert calls[0] == got.iterations == 0, sorted(g.values.items())
     assert blocks > 25
+
+
+def test_qubit_supports_of_up_to_three_cells_take_no_newton_step(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    rng = np.random.default_rng(101)
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    supports = [s for k in (1, 2, 3) for s in itertools.combinations(cells, k)]
+    assert len(supports) == 129
+    for support in supports:
+        values = rng.uniform(-1.0, 1.0, size=len(support))
+        g = CorrelatorGrid((2, 2), dict(zip(support, values.tolist())))
+        got = solver.ne_solve(g)
+        assert (got.iterations, got.gap) == (0, 0.0), support
+    assert calls[0] == 0
+
+
+def test_a_corner_beside_a_block_leaves_only_the_block_on_the_path(monkeypatch):
+    paths = []
+    maximize = solver._maximize
+
+    def recorded(v, support, m, n, t, opts):
+        paths.append(tuple(support))
+        return maximize(v, support, m, n, t, opts)
+
+    monkeypatch.setattr(solver, "_maximize", recorded)
+    rng = np.random.default_rng(103)
+    corner = [(0, 0), (0, 1), (1, 0)]
+    block = [(2, 2), (2, 3), (3, 2), (3, 3)]
+    for _ in range(10):
+        values = dict(zip(corner + block, rng.uniform(-1.0, 1.0, size=7).tolist()))
+        both = solver.ne_solve(CorrelatorGrid((3, 3), values))
+        alone = [
+            solver.ne_solve(CorrelatorGrid((3, 3), {c: values[c] for c in part}))
+            for part in (corner, block)
+        ]
+        assert paths == [tuple(block)] * 2
+        paths.clear()
+        assert both.value == alone[0].value + alone[1].value
+        assert (both.iterations, both.gap) == (alone[1].iterations, alone[1].gap)
+        # the corner's optimum is t = 1/2 times the qubit one
+        qubit = CorrelatorGrid((2, 2), {c: values[c] for c in corner})
+        assert alone[0].value == 0.5 * solver.ne_solve(qubit).value
 
 
 def test_agrees_with_every_closed_form_class():
@@ -113,7 +175,7 @@ def test_agrees_with_every_closed_form_class():
                 (2, 2), {c: v for c, v in zip(mset.indices(), vals)}
             )
             ref = patterns.ne_closed_form(mset, g)
-            got = solver.ne_solve(g, mset)
+            got = _barrier(g, mset)
             assert got.value == pytest.approx(ref.value, abs=1e-6), label
 
 
@@ -393,9 +455,9 @@ def test_stacked_solve_needs_shared_dims_and_support():
 
 def test_solver_failures_raise_solver_error():
     with pytest.raises(solver.SolverError, match="iteration limit"):
-        solver.ne_solve(MAIN, options=solver.SolverOptions(max_iter=1))
+        solver.ne_solve(BLOCK, options=solver.SolverOptions(max_iter=1))
     with pytest.raises(solver.SolverError, match="iteration limit"):
-        solver.ne_solve_batch([MAIN, MAIN], options=solver.SolverOptions(max_iter=1))
+        solver.ne_solve_batch([BLOCK, BLOCK], options=solver.SolverOptions(max_iter=1))
 
 
 def _random_grid(rng, dims):
@@ -440,7 +502,7 @@ def test_returned_iterate_is_centered_on_its_last_stage(monkeypatch):
     for g in grids:
         solver.ne_solve(g)
     assert {g.dims for g in grids} == {(2, 2), (3, 3)}
-    # line components take their closed form: one path per grid with a block
+    # lines and corners take their closed forms: one path per grid with a block
     assert len(ends) == sum(_has_block(g.measured) for g in grids) > len(grids) / 2
     for v, support, m, n, t, (c, steps, gap) in ends:
         assert steps > 0
@@ -448,7 +510,7 @@ def test_returned_iterate_is_centered_on_its_last_stage(monkeypatch):
 
 
 def test_worked_example_takes_few_steps_on_the_short_path():
-    got = solver.ne_solve(MAIN, MeasurementSet.parse("XX,XY,ZX"))
+    got = _barrier(MAIN, MeasurementSet.parse("XX,XY,ZX"))
     assert got.value == pytest.approx(1.3512657203864136, abs=1e-12)
     assert got.iterations <= 15
 
@@ -574,10 +636,9 @@ def test_stacks_mixing_lines_and_a_block_equal_each_grid_alone():
     for dims in ((2, 2), (2, 3), (3, 3)):
         m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
         for _ in range(8):
-            # a block on two rows and two columns, plus lines elsewhere
+            # a full block on two rows and two columns, plus lines elsewhere
             rows, cols = rng.permutation(m), rng.permutation(n)
             block = [(int(i), int(j)) for i in rows[:2] for j in cols[:2]]
-            block = [block[k] for k in rng.choice(4, size=int(rng.integers(3, 5)), replace=False)]
             wide = m > 3 and n > 3
             row_line = [(int(rows[2]), int(j)) for j in cols[2 : n - wide]]
             lines = row_line + [(int(rows[-1]), int(cols[-1]))] * wide
@@ -623,6 +684,14 @@ def test_stacked_results_are_those_of_each_grid_alone_bit_for_bit():
     guarded = [_grid(signs), _grid(dict.fromkeys(signs, 0.5))]
     stacks = [_random_stack(rng) for _ in range(30)]
     stacks.append((guarded[0].measured, guarded))
+    # two corners and a line at scales far apart: each corner of each grid
+    # is solved at its own power of two
+    cells = [(0, 0), (0, 1), (1, 0), (2, 2), (2, 3), (3, 2), (5, 5), (5, 6)]
+    scales = 10.0 ** -rng.integers(0, 300, size=(12, len(cells)))
+    stacks.append((cells, [
+        CorrelatorGrid((3, 3), dict(zip(cells, row.tolist())))
+        for row in scales * rng.uniform(-1.0, 1.0, size=scales.shape)
+    ]))
     paths = 0
     for cells, grids in stacks:
         for grid, got in zip(grids, solver.ne_solve_batch(grids, cells)):
