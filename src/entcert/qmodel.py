@@ -18,6 +18,7 @@ rather than sampling the marginals independently.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -255,6 +256,9 @@ def correlator_grid(
 ) -> CorrelatorGrid:
     """Full-support grid of ``rho``'s correlators.
 
+    Ideal entries are one product of a contraction table, built once per
+    ``rho.dims`` and shared, with the flattened density matrix.
+
     With ``shots`` set (qubits only), every entry is an empirical mean over
     that many joint measurements; per-entry streams are derived
     deterministically from ``seed``.
@@ -262,15 +266,9 @@ def correlator_grid(
     da, db = rho.dims
     values: dict[tuple[int, int], float] = {}
     if shots is None:
-        # <G_i (x) G_j> = sum G_i[a, c] G_j[b, e] rho[(c, e), (a, b)]
-        grid = np.einsum(
-            "iac,jbe,ceab->ij",
-            np.stack(gell_mann_basis(da).operators[1:]),
-            np.stack(gell_mann_basis(db).operators[1:]),
-            rho.matrix.reshape(da, db, da, db),
-        ).real
-        for (i, j), value in np.ndenumerate(grid):
-            values[(i, j)] = float(value)
+        grid = (_contraction_table(da, db) @ rho.matrix.ravel()).real
+        cells = itertools.product(range(da * da - 1), range(db * db - 1))
+        values = dict(zip(cells, grid.tolist()))
     else:
         if rho.dims != (2, 2):
             raise ValueError("shot sampling supports qubit pairs only")
@@ -287,9 +285,17 @@ def correlator_grid(
     return CorrelatorGrid(rho.dims, values)
 
 
-def _haar_vector(dim: int, rng: np.random.Generator) -> Array:
-    v = rng.normal(size=dim) + 1.0j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+@functools.lru_cache(maxsize=None)
+def _contraction_table(da: int, db: int) -> Array:
+    # row (i, j) is (G_i (x) G_j)^T flattened, so that row @ rho.ravel()
+    # = Tr((G_i (x) G_j) rho); kron[(a, b), (c, e)] = G_i[a, c] G_j[b, e]
+    ga = np.stack(gell_mann_basis(da).operators[1:])
+    gb = np.stack(gell_mann_basis(db).operators[1:])
+    n = da * db
+    kron = np.einsum("iac,jbe->ijceab", ga, gb)
+    table = kron.reshape(len(ga) * len(gb), n * n)
+    table.setflags(write=False)
+    return table
 
 
 def sample_separable(
@@ -298,20 +304,27 @@ def sample_separable(
     """Convex mixture of Haar-random pure product states.
 
     ``d`` is the first local dimension; ``d_b`` defaults to ``d``.
-    Mixture weights are uniform Dirichlet.  Deterministic given ``seed``.
+    Mixture weights are uniform Dirichlet.  Deterministic given ``seed``,
+    and a seed keeps its state: after the ``terms`` weights, each term
+    takes 2(d + d_b) standard normals from ``default_rng(seed)``, in the
+    order real and imaginary parts of the first factor, then those of the
+    second.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    integral = isinstance(terms, (int, np.integer)) and not isinstance(terms, bool)
+    if not integral or terms < 1:
+        raise ValueError(f"terms must be a positive int, got {terms!r}")
     db = d if d_b is None else d_b
+    if d < 2 or db < 2:
+        raise ValueError("dimension must be >= 2")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(terms))
-    total = np.zeros((d * db, d * db), dtype=complex)
-    for w in weights:
-        va = _haar_vector(d, rng)
-        vb = _haar_vector(db, rng)
-        v = np.kron(va, vb)
-        total += w * np.outer(v, v.conj())
-    return DensityMatrix(total, (d, db))
+    parts = rng.normal(size=(terms, 2 * (d + db)))
+    va = parts[:, :d] + 1.0j * parts[:, d : 2 * d]
+    vb = parts[:, 2 * d : 2 * d + db] + 1.0j * parts[:, 2 * d + db :]
+    # row k is va_k (x) vb_k; one norm serves, as |va (x) vb| = |va| |vb|
+    v = (va[:, :, None] * vb[:, None, :]).reshape(terms, d * db)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return DensityMatrix((v.T * weights) @ v.conj(), (d, db))
 
 
 def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:

@@ -25,19 +25,14 @@ def _ne_dense_oracle(mset: MeasurementSet, g: CorrelatorGrid, samples: int = 250
     rng = np.random.default_rng(seed)
     cells = mset.indices()
     data = np.array([g.value_at(c) for c in cells])
-    best = 0.0
     batch = rng.standard_normal((samples, len(cells)))
-    for row in batch:
-        dense = np.zeros((3, 3))
-        for k, (i, j) in enumerate(cells):
-            dense[i, j] = row[k]
-        nrm = np.linalg.norm(dense, 2)
-        if nrm == 0.0:
-            continue
-        val = abs(float(data @ row)) / nrm
-        if val > best:
-            best = val
-    return best
+    dense = np.zeros((samples, 3, 3))
+    rows, cols = zip(*cells)
+    dense[:, rows, cols] = batch
+    nrm = np.linalg.norm(dense, 2, axis=(1, 2))
+    keep = nrm != 0.0
+    vals = np.abs(batch[keep] @ data) / nrm[keep]
+    return float(vals.max(initial=0.0))
 
 
 # -- classification ------------------------------------------------------------

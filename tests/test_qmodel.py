@@ -183,6 +183,48 @@ def test_sample_separable_seed_determinism_and_mixed_dims():
     assert a.dims == (3, 2)
 
 
+def _separable_term_by_term(d, terms, seed, d_b):
+    # one rng.normal(size=dim) call per real and per imaginary part, factor A
+    # then factor B, term after term: the draw order sample_separable keeps
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(terms))
+    total = np.zeros((d * d_b, d * d_b), dtype=complex)
+    for w in weights:
+        va = rng.normal(size=d) + 1.0j * rng.normal(size=d)
+        vb = rng.normal(size=d_b) + 1.0j * rng.normal(size=d_b)
+        v = np.kron(va / np.linalg.norm(va), vb / np.linalg.norm(vb))
+        total += w * np.outer(v, v.conj())
+    return total
+
+
+def test_sample_separable_keeps_the_term_by_term_draw_order():
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for terms in range(1, 5):
+            for seed in range(20):
+                rho = qm.sample_separable(dims[0], terms, seed=seed, d_b=dims[1])
+                want = _separable_term_by_term(dims[0], terms, seed, dims[1])
+                assert rho.dims == dims
+                assert np.abs(rho.matrix - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d, d_b", [(1, None), (1, 1), (2, 1), (1, 2), (0, None), (2, 0)])
+def test_sample_separable_rejects_dimensions_below_two(d, d_b):
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        qm.sample_separable(d, 2, seed=0, d_b=d_b)
+
+
+@pytest.mark.parametrize("terms", [0, -1, True, False, 2.0, "2", None])
+def test_sample_separable_rejects_terms_that_are_not_positive_ints(terms):
+    with pytest.raises(ValueError, match="terms must be a positive int"):
+        qm.sample_separable(2, terms, seed=0)
+
+
+def test_sample_separable_accepts_numpy_integer_terms():
+    a = qm.sample_separable(2, np.int64(3), seed=4)
+    b = qm.sample_separable(2, 3, seed=4)
+    assert np.array_equal(a.matrix, b.matrix)
+
+
 def test_separable_correlations_respect_operator_norm_bound():
     # |sum c_ij <G_i x G_j>| <= sqrt((dA-1)(dB-1)) * ||C||_inf for separable
     # states; checked with exact correlator grids and random supports.
@@ -220,7 +262,7 @@ def test_correlator_grid_full_support_ideal():
 
 
 def test_correlator_grid_matches_entrywise_traces():
-    # the einsum contraction against one trace of G_i (x) G_j per entry;
+    # the cached contraction table against one trace of G_i (x) G_j per entry;
     # the summation order differs, so equality holds to roundoff only
     for da, db in ((2, 2), (3, 3), (2, 3), (3, 2)):
         basis_a = qm.gell_mann_basis(da).operators
@@ -239,6 +281,14 @@ def test_gell_mann_basis_is_shared_and_read_only():
     assert qm.gell_mann_basis(3) is basis
     with pytest.raises(ValueError):
         basis.operators[1][0, 0] = 2.0
+
+
+def test_contraction_table_is_shared_and_read_only():
+    table = qm._contraction_table(3, 2)
+    assert qm._contraction_table(3, 2) is table
+    assert table.shape == (8 * 3, 36)
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
 
 
 def test_correlator_grid_sampled_deterministic():
