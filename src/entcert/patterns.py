@@ -27,7 +27,11 @@ This module only classifies.  Every optimum above is a closed form that
 the solver takes on the support's components (lines and corners; see
 ``entcert.solver``), so ``ne_closed_form`` checks that a support has a
 class and returns ``ne_solve`` on it: every qubit support of one to three
-cells takes no Newton step.
+cells takes no Newton step.  Among General sets the solver also takes a
+complete block, a component that fills every cell of the rows and columns
+it spans (a full 2 x 2 square, two full rows, the whole grid), in closed
+form, as the nuclear norm of its data; only the other components, such as
+the staircase XX,XY,YY,YZ, take its barrier path.
 """
 
 from __future__ import annotations

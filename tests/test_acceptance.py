@@ -21,7 +21,7 @@ from entcert.grids import CorrelatorGrid, MeasurementSet
 from entcert.multipartite import ObservableSum, spi_lambda_max
 from entcert.qmodel import StateFamilyParams, correlator_grid, make_state
 from entcert.solver import SolverOptions
-from entcert.witness import evaluate_witness
+from entcert.witness import evaluate_witness, ne_verdict
 
 _AXES = "XYZ"
 
@@ -217,6 +217,40 @@ def test_closed_forms_match_interior_point():
     )
     nuclear = np.linalg.svd(m, compute_uv=False).sum()
     assert abs(solver.ne_solve(grid).value - 0.5 * nuclear) <= 1e-8
+
+
+def test_complete_blocks_lie_within_the_barrier_bracket():
+    # 1,008 random complete blocks, whose closed form is t times the nuclear
+    # norm, against the barrier path on the same data
+    rng = np.random.default_rng(131)
+    stacks = {}
+    for k in range(1008):
+        dims = ((2, 2), (2, 3), (3, 2), (3, 3))[k % 4]
+        m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+        shape = (int(rng.integers(2, m + 1)), int(rng.integers(2, n + 1)))
+        rows = sorted(rng.choice(m, size=shape[0], replace=False).tolist())
+        cols = sorted(rng.choice(n, size=shape[1], replace=False).tolist())
+        dense = (1.0, 0.3, 0.05)[k % 3] * rng.uniform(-1.0, 1.0, size=shape)
+        grid = CorrelatorGrid(dims, {
+            (i, j): float(dense[a, b])
+            for a, i in enumerate(rows) for b, j in enumerate(cols)
+        })
+        closed = solver.ne_solve(grid)
+        assert (closed.iterations, closed.gap) == (0, 0.0)
+        stacks.setdefault((dims, shape), []).append((dense.ravel(), closed))
+    for (dims, shape), cases in stacks.items():
+        # the active block of B(c), and so the path, is the same wherever the
+        # block sits: each shape takes one stacked path in the top-left corner
+        support = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
+        t = 1.0 / math.sqrt((dims[0] - 1) * (dims[1] - 1))
+        v = np.array([data for data, _ in cases])
+        paths, _, gaps = solver._maximize_stack(
+            v, support, dims[0] ** 2 - 1, dims[1] ** 2 - 1, t, SolverOptions()
+        )
+        for data, c, gap, (_, closed) in zip(v, paths, gaps, cases):
+            barrier = abs(float(data @ solver._polish(data, c, dims, support, t)))
+            assert barrier - 1e-12 <= closed.value <= barrier + gap + 1e-12
+            assert closed.verdict == ne_verdict(barrier)
 
 
 def test_orbit_census_and_diagonal_members():

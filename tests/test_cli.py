@@ -121,8 +121,9 @@ def test_verify_output_is_byte_stable(capsys, tmp_path):
 
 def test_tolerance_env_var_and_flag_precedence(capsys, tmp_path, monkeypatch):
     path = _chi3_file(tmp_path)
-    # a full 2 x 2 block: the barrier path runs and reports its gap
-    argv = ["verify", "--input", path, "--set", "XX,XY,YX,YY"]
+    # a staircase, neither a line, a corner nor a complete block: the
+    # barrier path runs and reports its gap
+    argv = ["verify", "--input", path, "--set", "XX,XY,YY,YZ"]
     monkeypatch.setenv("ENTCERT_TOL", "1e-2")
     _, out, _ = _run(capsys, argv)
     loose_gap = json.loads(out)["result"]["gap"]
@@ -377,11 +378,11 @@ def test_sampled_sweep_rows_equal_solving_each_angle_alone(capsys):
 
 def test_solver_failure_has_its_own_exit_code(capsys, tmp_path):
     path = _chi3_file(tmp_path)
+    # XX,XY,YY,YZ is a staircase, neither a line, a corner nor a complete
+    # block: data there take the barrier path
     for argv in (
-        ["verify", "--input", path, "--max-iter", "1"],
-        # XX,XY,YX,YY is a full 2 x 2 block: Bell data there take the
-        # barrier path
-        ["sweep", "--family", "bell", "--set", "XX,XY,YX,YY", "--max-iter", "1"],
+        ["verify", "--input", path, "--set", "XX,XY,YY,YZ", "--max-iter", "1"],
+        ["sweep", "--family", "bell", "--set", "XX,XY,YY,YZ", "--max-iter", "1"],
     ):
         rc, out, err = _run(capsys, argv)
         assert rc == 3

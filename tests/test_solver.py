@@ -16,9 +16,10 @@ def _grid(d):
 
 
 # the worked example is a corner, which ne_solve takes in closed form;
-# BLOCK is a full 2 x 2 block, which takes the barrier path
+# BLOCK is a staircase on two rows and three columns, neither a line, a
+# corner nor a complete block, so it takes the barrier path
 MAIN = _grid({"XX": -0.95, "XY": 0.03, "ZX": -0.96})
-BLOCK = _grid({"XX": 0.9, "XY": -0.3, "YX": 0.2, "YY": 0.8})
+BLOCK = _grid({"XX": 0.9, "XY": -0.3, "YY": 0.8, "YZ": 0.2})
 
 
 def _barrier(grid, cells):
@@ -80,8 +81,9 @@ def test_worked_example_takes_few_damped_steps(monkeypatch):
 
 def _has_block(cells):
     """Whether some component of the cells (linked through shared rows or
-    columns) spans two rows and two columns and holds more than three cells,
-    so that it is neither a line nor a corner."""
+    columns) spans two rows and two columns, holds more than three cells and
+    leaves some cell of its rows and columns out, so that it is neither a
+    line, a corner nor a complete block."""
     left = set(cells)
     while left:
         component = {left.pop()}
@@ -93,7 +95,8 @@ def _has_block(cells):
             component |= linked
             frontier.extend(linked)
         rows, cols = {i for i, _ in component}, {j for _, j in component}
-        if len(rows) > 1 and len(cols) > 1 and len(component) > 3:
+        spans = len(rows) * len(cols)
+        if len(rows) > 1 and len(cols) > 1 and 3 < len(component) < spans:
             return True
     return False
 
@@ -102,21 +105,17 @@ def test_every_damped_step_is_feasible_first_time(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     rng = np.random.default_rng(31)
     blocks = 0
-    for _ in range(50):
-        d = int(rng.integers(2, 4))
-        side = d * d - 1
-        cells = rng.choice(side * side, size=int(rng.integers(2, 10)), replace=False)
-        values = rng.uniform(-1.0, 1.0, size=len(cells))
-        g = CorrelatorGrid(
-            (d, d), {divmod(int(c), side): float(v) for c, v in zip(cells, values)}
-        )
+    for k in range(50):
+        # every other support holds a staircase, which takes the barrier path
+        g = _random_grid(rng, int(rng.integers(2, 4)), staircase=k % 2 == 1)
         calls[0] = 0
         got = solver.ne_solve(g)
         if _has_block(g.measured):
             blocks += 1
             assert calls[0] == got.iterations + 1, sorted(g.values.items())
         else:
-            # only lines and corners: closed forms, no barrier path
+            # only lines, corners and complete blocks: closed forms, no
+            # barrier path
             assert calls[0] == got.iterations == 0, sorted(g.values.items())
     assert blocks > 25
 
@@ -146,7 +145,7 @@ def test_a_corner_beside_a_block_leaves_only_the_block_on_the_path(monkeypatch):
     monkeypatch.setattr(solver, "_maximize", recorded)
     rng = np.random.default_rng(103)
     corner = [(0, 0), (0, 1), (1, 0)]
-    block = [(2, 2), (2, 3), (3, 2), (3, 3)]
+    block = [(2, 2), (2, 3), (3, 3), (3, 4)]
     for _ in range(10):
         values = dict(zip(corner + block, rng.uniform(-1.0, 1.0, size=7).tolist()))
         both = solver.ne_solve(CorrelatorGrid((3, 3), values))
@@ -207,6 +206,24 @@ def test_full_support_qutrit_scaled_nuclear_norm():
         )
 
 
+def test_full_support_barrier_path_is_nuclear_norm():
+    # the data of the two tests above, which ne_solve now takes in closed
+    # form, through the barrier path and its polish instead
+    cases = [(9, 2, 3, 0.9, 20), (13, 3, 8, 0.5, 4)]
+    for seed, d, side, bound, count in cases:
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            dense = rng.uniform(-bound, bound, size=(side, side))
+            g = CorrelatorGrid(
+                (d, d), {(i, j): dense[i, j] for i in range(side) for j in range(side)}
+            )
+            got = _barrier(g, g.measured)
+            assert got.iterations > 0
+            assert got.value == pytest.approx(
+                np.linalg.svd(dense, compute_uv=False).sum() / (d - 1), abs=1e-8
+            )
+
+
 def test_four_term_value_against_boundary_sampling():
     rng = np.random.default_rng(17)
     mset = MeasurementSet.parse("XX,XY,YX,ZZ")
@@ -214,14 +231,12 @@ def test_four_term_value_against_boundary_sampling():
     vals = rng.uniform(-1.0, 1.0, size=4)
     g = CorrelatorGrid((2, 2), {c: v for c, v in zip(cells, vals)})
     got = solver.ne_solve(g, mset)
-    best = 0.0
-    for row in rng.standard_normal((200_000, 4)):
-        dense = np.zeros((3, 3))
-        for k, (i, j) in enumerate(cells):
-            dense[i, j] = row[k]
-        nrm = np.linalg.norm(dense, 2)
-        val = abs(float(vals @ row)) / nrm
-        best = max(best, val)
+    # every spectral norm of the sampled coefficient matrices in one call
+    batch = rng.standard_normal((200_000, 4))
+    dense = np.zeros((len(batch), 3, 3))
+    rows, cols = zip(*cells)
+    dense[:, rows, cols] = batch
+    best = float((np.abs(batch @ vals) / np.linalg.norm(dense, 2, axis=(1, 2))).max())
     assert got.value >= best - 1e-9
     assert got.value == pytest.approx(best, abs=2e-3)
 
@@ -340,8 +355,10 @@ def _random_stack(rng):
     d = int(rng.integers(2, 4))
     side = d * d - 1
     if d == 2 and rng.random() < 0.25:
-        # pure product states on the full qubit grid: singular Hessians
+        # pure product states on the qubit grid less one cell, which is
+        # not a complete block and takes the barrier path: singular Hessians
         cells = [(i, j) for i in range(3) for j in range(3)]
+        del cells[int(rng.integers(9))]
         seeds = rng.integers(2**31, size=int(rng.integers(2, 26)))
         grids = [
             qmodel.correlator_grid(qmodel.sample_separable(2, 1, seed=int(s)))
@@ -460,12 +477,24 @@ def test_solver_failures_raise_solver_error():
         solver.ne_solve_batch([BLOCK, BLOCK], options=solver.SolverOptions(max_iter=1))
 
 
-def _random_grid(rng, dims):
+def _staircase(rng, side):
+    """Cells on two random rows and three random columns of a side x side
+    grid, in a staircase: neither a line, a corner nor a complete block."""
+    a, b = rng.choice(side, size=2, replace=False).tolist()
+    x, y, z = rng.choice(side, size=3, replace=False).tolist()
+    return [(a, x), (a, y), (b, y), (b, z)]
+
+
+def _random_grid(rng, dims, staircase=False):
+    """Random data on 2-9 random cells, joined by a random staircase if asked."""
     side = dims * dims - 1
     flat = rng.choice(side * side, size=int(rng.integers(2, 10)), replace=False)
-    values = rng.uniform(-1.0, 1.0, size=len(flat))
+    cells = [divmod(int(f), side) for f in flat]
+    if staircase:
+        cells += [c for c in _staircase(rng, side) if c not in cells]
+    values = rng.uniform(-1.0, 1.0, size=len(cells))
     return CorrelatorGrid(
-        (dims, dims), {divmod(int(f), side): float(x) for f, x in zip(flat, values)}
+        (dims, dims), {c: float(x) for c, x in zip(cells, values)}
     )
 
 
@@ -498,11 +527,15 @@ def test_returned_iterate_is_centered_on_its_last_stage(monkeypatch):
 
     monkeypatch.setattr(solver, "_maximize", recorded)
     rng = np.random.default_rng(59)
-    grids = [MAIN] + [_random_grid(rng, d) for d in (2, 3) for _ in range(12)]
+    # every other random support holds a staircase, which takes the path
+    grids = [MAIN] + [
+        _random_grid(rng, d, staircase=k % 2 == 1) for d in (2, 3) for k in range(12)
+    ]
     for g in grids:
         solver.ne_solve(g)
     assert {g.dims for g in grids} == {(2, 2), (3, 3)}
-    # lines and corners take their closed forms: one path per grid with a block
+    # lines, corners and complete blocks take their closed forms: one path
+    # per grid with another component
     assert len(ends) == sum(_has_block(g.measured) for g in grids) > len(grids) / 2
     for v, support, m, n, t, (c, steps, gap) in ends:
         assert steps > 0
@@ -633,15 +666,24 @@ def test_line_only_supports_factorize_nothing(monkeypatch):
 def test_stacks_mixing_lines_and_a_block_equal_each_grid_alone():
     rng = np.random.default_rng(73)
     blocks = 0
-    for dims in ((2, 2), (2, 3), (3, 3)):
+    # a qubit grid has no room for a line beside a component that takes the
+    # barrier path, so the (3, 2) grid stands in for it
+    for dims in ((3, 2), (2, 3), (3, 3)):
         m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+        # laid out on the transposed grid when only three columns are there
+        flip = n == 3
+        p, q = (n, m) if flip else (m, n)
         for _ in range(8):
-            # a full block on two rows and two columns, plus lines elsewhere
-            rows, cols = rng.permutation(m), rng.permutation(n)
-            block = [(int(i), int(j)) for i in rows[:2] for j in cols[:2]]
-            wide = m > 3 and n > 3
-            row_line = [(int(rows[2]), int(j)) for j in cols[2 : n - wide]]
-            lines = row_line + [(int(rows[-1]), int(cols[-1]))] * wide
+            # a staircase on two rows and three columns, plus lines elsewhere
+            rows, cols = rng.permutation(p).tolist(), rng.permutation(q).tolist()
+            block = [(rows[0], cols[0]), (rows[0], cols[1]),
+                     (rows[1], cols[1]), (rows[1], cols[2])]
+            wide = p > 3 and q > 3
+            row_line = [(rows[2], j) for j in cols[3 : q - wide]]
+            lines = row_line + [(rows[-1], cols[-1])] * wide
+            if flip:
+                block = [(j, i) for i, j in block]
+                lines = [(j, i) for i, j in lines]
             cells = block + lines
             assert _has_block(cells)
             grids = [
@@ -761,3 +803,149 @@ def test_guarded_stack_halves_only_the_rows_that_leave_the_ball():
             assert np.array_equal(trial[row], one) and np.array_equal(chol[row], factor)
             taken = alpha[row] * (0.5 if row == out else 1.0)
             assert np.array_equal(one, cs[row] + taken * steps[row])
+
+
+# -- complete blocks ------------------------------------------------------------
+
+
+def _complete(rng, dims, shape, scale=1.0):
+    """Random data on a complete block of the given shape, at random rows and
+    columns, and the block as a dense (rows, columns) matrix."""
+    m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    rows = sorted(rng.choice(m, size=shape[0], replace=False).tolist())
+    cols = sorted(rng.choice(n, size=shape[1], replace=False).tolist())
+    dense = scale * rng.uniform(-1.0, 1.0, size=shape)
+    values = {
+        (i, j): float(dense[a, b]) for a, i in enumerate(rows) for b, j in enumerate(cols)
+    }
+    return CorrelatorGrid(dims, values), dense
+
+
+def _t(dims):
+    return 1.0 / math.sqrt((dims[0] - 1) * (dims[1] - 1))
+
+
+@pytest.mark.parametrize(
+    "dims, shape",
+    [((2, 2), (2, 3)), ((2, 2), (3, 3)), ((2, 4), (3, 15)), ((3, 3), (8, 8))],
+)
+def test_complete_blocks_are_t_times_the_nuclear_norm_on_the_boundary(
+    monkeypatch, dims, shape
+):
+    calls = _count_factorizations(monkeypatch)
+    rng = np.random.default_rng(107)
+    t = _t(dims)
+    for _ in range(20):
+        g, dense = _complete(rng, dims, shape)
+        got = solver.ne_solve(g)
+        assert (got.iterations, got.gap) == (0, 0.0)
+        nuclear = np.linalg.svd(dense, compute_uv=False).sum()
+        assert got.value == pytest.approx(t * nuclear, rel=1e-14)
+        assert abs(got.coefficients.operator_norm() - t) <= 1e-15
+        data = np.array([g.value_at(c) for c in got.coefficients.support])
+        attained = float(data @ np.array(got.coefficients.coeffs))
+        assert attained == pytest.approx(got.value, rel=1e-13)
+    assert calls[0] == 0
+
+
+def test_rank_one_complete_blocks_are_pure_product_states():
+    for d in (2, 3):
+        t = _t((d, d))
+        for seed in range(20):
+            grid = qmodel.correlator_grid(qmodel.sample_separable(d, 1, seed=seed))
+            got = solver.ne_solve(grid)
+            # the correlator matrix of a pure product state is an outer
+            # product, whose nuclear norm is its Frobenius norm
+            assert (got.iterations, got.gap) == (0, 0.0)
+            assert got.value == pytest.approx(t * np.linalg.norm(grid.matrix()), rel=1e-14)
+            assert abs(got.coefficients.operator_norm() - t) <= 1e-15
+            assert got.verdict == "undetected"
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-300])
+def test_complete_blocks_far_below_one_keep_their_closed_form(scale):
+    rng = np.random.default_rng(109)
+    for dims, shape in (((2, 2), (3, 3)), ((3, 3), (8, 8)), ((2, 3), (3, 2))):
+        t = _t(dims)
+        for _ in range(10):
+            unit, dense = _complete(rng, dims, shape)
+            tiny = CorrelatorGrid(dims, {c: scale * v for c, v in unit.values.items()})
+            got, ref = solver.ne_solve(tiny), solver.ne_solve(unit)
+            assert (got.iterations, got.gap) == (0, 0.0)
+            assert got.value == pytest.approx(scale * ref.value, rel=1e-14, abs=0.0)
+            assert abs(got.coefficients.operator_norm() - t) <= 1e-15
+            assert np.allclose(got.coefficients.coeffs, ref.coefficients.coeffs, atol=1e-14)
+            assert got.verdict == "undetected"
+
+
+def test_a_zero_complete_block_keeps_zero_coefficients():
+    block = [(i, j) for i in range(2) for j in range(3)]
+    line = [(5, 6), (5, 7)]
+    g = CorrelatorGrid((3, 3), {**dict.fromkeys(block, 0.0), (5, 6): 0.3, (5, 7): -0.4})
+    got = solver.ne_solve(g)
+    assert (got.iterations, got.gap) == (0, 0.0)
+    assert got.value == 0.5 * math.hypot(0.3, 0.4)
+    coeffs = dict(zip(got.coefficients.support, got.coefficients.coeffs))
+    assert all(coeffs[c] == 0.0 for c in block)
+    assert [coeffs[c] for c in line] == pytest.approx([0.3, -0.4], rel=1e-15)
+    # all zero: the witness still gets its one nonzero coefficient
+    zero = solver.ne_solve(CorrelatorGrid((3, 3), dict.fromkeys(block, 0.0)))
+    assert zero.value == 0.0
+    assert zero.coefficients.coeffs == (0.5,) + (0.0,) * 5
+
+
+def test_a_complete_block_beside_lines_a_corner_and_a_path_component(monkeypatch):
+    paths = []
+    maximize = solver._maximize
+
+    def recorded(v, support, m, n, t, opts):
+        paths.append(tuple(support))
+        return maximize(v, support, m, n, t, opts)
+
+    monkeypatch.setattr(solver, "_maximize", recorded)
+    rng = np.random.default_rng(113)
+    # in that order the components are summed: lines, corner, block, path
+    parts = [
+        [(6, 7), (7, 7)],
+        [(2, 2), (2, 3), (3, 2)],
+        [(0, 0), (0, 1), (1, 0), (1, 1)],
+        [(4, 4), (4, 5), (5, 5), (5, 6)],
+    ]
+    for _ in range(10):
+        values = {c: float(rng.uniform(-1.0, 1.0)) for part in parts for c in part}
+        both = solver.ne_solve(CorrelatorGrid((3, 3), values))
+        alone = [
+            solver.ne_solve(CorrelatorGrid((3, 3), {c: values[c] for c in part}))
+            for part in parts
+        ]
+        assert paths == [tuple(parts[-1])] * 2
+        paths.clear()
+        assert both.value == sum(r.value for r in alone)
+        assert (both.iterations, both.gap) == (alone[-1].iterations, alone[-1].gap)
+        assert alone[-1].iterations > 0
+        coeffs = dict(zip(both.coefficients.support, both.coefficients.coeffs))
+        for r in alone:
+            assert r.coefficients.coeffs == tuple(coeffs[c] for c in r.coefficients.support)
+
+
+def test_stacks_with_complete_blocks_equal_each_grid_alone_bit_for_bit():
+    rng = np.random.default_rng(127)
+    supports = [
+        ((2, 2), [(i, j) for i in range(3) for j in range(3)]),
+        ((2, 4), [(i, j) for i in range(3) for j in range(15)]),
+        ((3, 3), [(i, j) for i in range(8) for j in range(8)]),
+        # two complete blocks of different shapes, a corner, a staircase and
+        # two lines
+        ((4, 4), [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (2, 4), (3, 2),
+                  (3, 3), (3, 4), (4, 5), (4, 6), (5, 5), (6, 7), (6, 8), (7, 8),
+                  (7, 9), (8, 10), (8, 11), (9, 12)]),
+    ]
+    for dims, cells in supports:
+        rows = [rng.uniform(-1.0, 1.0, size=len(cells)) for _ in range(8)]
+        rows += [np.zeros(len(cells)), rng.choice([-1.0, 1.0], size=len(cells))]
+        # cells at scales far apart, and zero data but on the first four cells
+        rows += [10.0 ** -rng.integers(0, 300, size=len(cells)) * rows[0]]
+        rows += [rows[1] * (np.arange(len(cells)) < 4)]
+        grids = [CorrelatorGrid(dims, dict(zip(cells, row.tolist()))) for row in rows]
+        for grid, got in zip(grids, solver.ne_solve_batch(grids, cells)):
+            assert _bits(got) == _bits(solver.ne_solve(grid, cells))
