@@ -116,11 +116,10 @@ of their factors and one stacked (N, k, k) solve for the Newton steps.  The
 stack shares its split into lines, corners, complete blocks and the path's
 sub-support, and the closed forms work elementwise.  Each grid keeps its
 own mu, step count and stop, so its iterates are exactly those of solving
-it alone; a grid
-that has stopped keeps its place and takes zero steps.  A step the
-roundoff guard must shorten is retried grid by grid.  With one grid on
-the path (``ne_solve``, or a stack whose other grids are zero on the
-path's sub-support) the single-grid loop runs instead.  The arrays are at
+it alone; a grid that has stopped keeps its place and takes zero steps.  A
+step the roundoff guard must shorten is retried grid by grid.  With one
+grid on the path (``ne_solve``, or a stack whose other grids are zero on
+the path's sub-support) the single-grid loop runs instead.  The arrays are at
 most 12 x 12, so numpy's per-call overhead sets the cost of both loops:
 on one thread of a shared 2-core x86 host, single solves through the
 stacked loop took 2.0x as long (1.17 vs 0.59 ms per solve over 600
