@@ -49,6 +49,10 @@ EXIT_UNDETECTED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_SOLVER_FAILURE = 3
 
+#: Every angle's state, grid and result are held at once: 10,000 angles take
+#: a few seconds and some tens of MB.
+MAX_SWEEP_STEPS = 10_000
+
 _PI_FORM = re.compile(r"^([+-]?)(\d+)?pi(?:/(\d+))?$")
 
 
@@ -271,29 +275,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
+    if args.steps > MAX_SWEEP_STEPS:
+        raise ValueError(f"--steps must be at most {MAX_SWEEP_STEPS}")
     if args.shots is not None and args.seed is None:
         raise ValueError("--seed is required when sampling with --shots")
     lo, hi = parse_angle(getattr(args, "from")), parse_angle(args.to)
     # np.linspace warns on bounds, or a span, that are not finite
     if not all(map(math.isfinite, (lo, hi, hi - lo))):
         raise ValueError("the sweep range must be finite")
-    support = _measurement_set(args) or MeasurementSet.parse(
-        "XX,XY,XZ,YX,YY,YZ,ZX,ZY,ZZ"
-    )
+    mset = _measurement_set(args) or MeasurementSet.parse("XX,XY,XZ,YX,YY,YZ,ZX,ZY,ZZ")
+    support = tuple(sorted(mset))
     opts = _solver_options(args)
-    thetas = [float(theta) for theta in np.linspace(lo, hi, args.steps)]
-    grids = [
-        _family_grid(
-            args.family,
-            theta,
-            args.noise,
-            args.shots,
-            args.seed + k if args.seed is not None else None,
-        )
-        for k, theta in enumerate(thetas)
+    thetas = np.linspace(lo, hi, args.steps)
+    full = qmodel.family_grid_values(
+        args.family, thetas, args.noise, args.shots, args.seed
+    )
+    # the full grids are row-major over the three axes
+    values = full[:, [3 * i + j for i, j in support]]
+    results = solver._ne_solve_stack((2, 2), support, values, opts)
+    rows = [
+        (theta, res.value, res.verdict) for theta, res in zip(thetas.tolist(), results)
     ]
-    results = solver.ne_solve_batch(grids, support, opts)
-    rows = [(theta, res.value, res.verdict) for theta, res in zip(thetas, results)]
     rows.sort(key=lambda r: r[0])
     config = (
         f"family={args.family};set={args.set or 'all'};from={render_float(lo)};"
@@ -377,7 +379,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="correlator labels; all nine when omitted")
     p.add_argument("--from", default="-pi", help="sweep start angle")
     p.add_argument("--to", default="pi", help="sweep end angle")
-    p.add_argument("--steps", type=int, default=19)
+    p.add_argument(
+        "--steps",
+        type=int,
+        default=19,
+        help=f"number of angles, 2 to {MAX_SWEEP_STEPS}: every angle's state, grid "
+        "and result are held in memory at once",
+    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--tol", type=float, help="solver tolerance")
     p.add_argument("--max-iter", type=int, dest="max_iter")

@@ -38,7 +38,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -136,32 +136,25 @@ class CorrelatorGrid:
             raise ValueError(f"local dimensions must be >= 2, got {self.dims}")
         if not self.values:
             raise ValueError("no measured entries")
-        ra, rb = self.basis_size
-        # physical magnitude bound for trace-normalized local bases; the
-        # 5% headroom tolerates slightly out-of-range empirical estimates
-        try:
-            cap = VALUE_CAP * math.sqrt((da - 1) * (db - 1))
-        except OverflowError:
-            raise ValueError("local dimensions are too large") from None
-        cleaned: dict[tuple[int, int], float] = {}
-        for pair, value in self.values.items():
-            i, j = int(pair[0]), int(pair[1])
-            if not (0 <= i < ra and 0 <= j < rb):
-                raise ValueError(f"index pair {pair} outside basis range")
-            try:
-                v = float(value)
-            except OverflowError:
-                label = pair_label(self.dims, (i, j))
-                raise ValueError(f"correlator {label} is too large") from None
-            if not math.isfinite(v):
-                raise ValueError(f"correlator {pair_label(self.dims, (i, j))} is not finite")
-            if abs(v) > cap:
-                raise ValueError(
-                    f"correlator {pair_label(self.dims, (i, j))} out of range: "
-                    f"{render_float(v)} (|value| > {render_float(cap)})"
-                )
-            cleaned[(i, j)] = v
-        object.__setattr__(self, "values", cleaned)
+        cells = [(int(i), int(j)) for i, j in self.values]
+        values = _float_values(self.dims, cells, self.values.values())
+        check_correlators(self.dims, cells, values)
+        object.__setattr__(self, "values", dict(zip(cells, values)))
+
+    @classmethod
+    def _from_array(
+        cls, dims: tuple[int, int], cells: Sequence[tuple[int, int]], values: np.ndarray
+    ) -> "CorrelatorGrid":
+        """Grid of ``values`` (k,) on ``cells``, distinct (int, int) pairs.
+
+        The values are checked as one array, so a grid computed as an array
+        skips the per-entry conversions of the constructor.
+        """
+        check_correlators(dims, cells, values)
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "dims", dims)
+        object.__setattr__(grid, "values", dict(zip(cells, values.tolist())))
+        return grid
 
     # -- structure ---------------------------------------------------------
 
@@ -198,6 +191,60 @@ class CorrelatorGrid:
                 raise ValueError(f"duplicate key {label!r}")
             values[key] = v
         return cls((2, 2), values)
+
+
+def check_correlators(
+    dims: tuple[int, int], cells: Sequence[tuple[int, int]], values: np.ndarray
+) -> None:
+    """Reject correlators outside the basis range, not finite, or beyond the cap.
+
+    ``values`` holds one grid's correlators on ``cells`` (k,) or a stack of
+    grids (N, k).  The error names the first offending entry in row-major
+    order, checking its cell, then its finiteness, then its magnitude.
+    """
+    da, db = dims
+    ra, rb = da * da - 1, db * db - 1
+    # physical magnitude bound for trace-normalized local bases; the 5%
+    # headroom tolerates slightly out-of-range empirical estimates
+    try:
+        cap = VALUE_CAP * math.sqrt((da - 1) * (db - 1))
+    except OverflowError:
+        raise ValueError("local dimensions are too large") from None
+    values = np.asarray(values, dtype=float)
+    inside = [0 <= i < ra and 0 <= j < rb for i, j in cells]
+    # NaN and infinities fail the comparisons too
+    if all(inside) and np.abs(values).max() <= cap:
+        return
+    bad = ~(np.abs(values) <= cap) | ~np.array(inside)
+    first = np.unravel_index(np.argmax(bad), bad.shape)
+    cell = cells[first[-1]]
+    if not inside[first[-1]]:
+        raise ValueError(f"index pair {cell} outside basis range")
+    value = float(values[first])
+    if not math.isfinite(value):
+        raise ValueError(f"correlator {pair_label(dims, cell)} is not finite")
+    raise ValueError(
+        f"correlator {pair_label(dims, cell)} out of range: "
+        f"{render_float(value)} (|value| > {render_float(cap)})"
+    )
+
+
+def _float_values(
+    dims: tuple[int, int], cells: Sequence[tuple[int, int]], raw: Iterable
+) -> list[float]:
+    """``raw`` as floats.  An entry that does not convert fails only after
+    the entries before it, and its own cell, have passed their checks."""
+    out: list[float] = []
+    try:
+        for value in raw:
+            out.append(float(value))
+    except (TypeError, ValueError, OverflowError) as err:
+        k = len(out)
+        check_correlators(dims, cells[: k + 1], out + [0.0])
+        if isinstance(err, OverflowError):
+            raise ValueError(f"correlator {pair_label(dims, cells[k])} is too large") from None
+        raise
+    return out
 
 
 def parse_qubit_label(label: str) -> tuple[int, int]:

@@ -12,7 +12,16 @@ Conventions (pinned here once, used by every ideal-value test):
 
 Finite-shot simulation draws from the joint eigenbasis distribution of the
 two local observables (four outcomes for qubits), preserving correlations
-rather than sampling the marginals independently.
+rather than sampling the marginals independently.  The four joint
+projectors of each pair of observables are built once and shared.
+
+A family's states at many angles are built as one stack: ``family_vectors``
+gives the (N, 4) vectors, ``family_states`` the (N, 4, 4) density matrices,
+depolarized and checked as one array, and ``family_grid_values`` the
+(N, 9) grids, ideal ones from one product with the shared contraction
+table.  ``family_vector`` and ``make_state`` are the one-angle case, so each
+family's formula is written once, and each row of a stack equals the
+one-angle result bit for bit.
 """
 
 from __future__ import annotations
@@ -21,10 +30,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .grids import AXES, CorrelatorGrid
+from .grids import AXES, CorrelatorGrid, check_correlators
 
 Array = np.ndarray
 
@@ -39,6 +49,7 @@ FAMILIES = ("bell", "psi_theta", "chi1", "chi3")
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _MAX_SHOTS = 2**63 - 1  # numpy draws the shot counts as int64
+_QUBIT_CELLS = tuple(itertools.product(range(3), range(3)))
 
 
 @dataclass(frozen=True)
@@ -49,12 +60,14 @@ class StateFamilyParams:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
-            )
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        _check_family(self.family, [self.theta])
+
+
+def _check_family(family: str, thetas: Iterable[float]) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if not all(map(math.isfinite, thetas)):
+        raise ValueError("theta must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +84,7 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {m.shape} does not match dims {self.dims}"
             )
-        if np.abs(m - m.conj().T).max() > _HERM_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > _TRACE_TOL:
-            raise ValueError("density matrix trace is not 1")
+        _check_density(m)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -86,33 +96,71 @@ class DensityMatrix:
 
     @classmethod
     def from_vector(cls, psi: Array, dims: tuple[int, int]) -> "DensityMatrix":
-        v = np.asarray(psi, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            raise ValueError("zero state vector")
-        v = v / nrm
-        return cls(np.outer(v, v.conj()), dims)
+        v = np.asarray(psi, dtype=complex).reshape(1, -1)
+        return cls(_pure_states(v)[0], dims)
+
+
+def _check_density(m: Array) -> None:
+    """DensityMatrix's checks, on one matrix or a stack (..., n, n)."""
+    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > _HERM_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(m.trace(axis1=-2, axis2=-1).real - 1.0).max() > _TRACE_TOL:
+        raise ValueError("density matrix trace is not 1")
+
+
+def _pure_states(vectors: Array) -> Array:
+    """Density matrices (N, n, n) of the normalized rows of ``vectors`` (N, n)."""
+    re, im = vectors.real, vectors.imag
+    # row @ row is numpy's dot of the 1-D norm, so a stack keeps its bits
+    squares = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    norms = np.sqrt(squares[:, 0, 0])
+    if not norms.all():
+        raise ValueError("zero state vector")
+    v = vectors / norms[:, None]
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
+def family_vectors(family: str, thetas: Iterable[float]) -> Array:
+    """State vectors (N, 4) of a two-qubit family at each angle."""
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    _check_family(family, thetas)
+    phi_plus = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
+    if family == "bell":
+        return np.tile(phi_plus, (len(thetas), 1))
+    # math's cos and sin, which numpy's vectorized ones may differ from by an ulp
+    if family == "psi_theta":
+        out = np.zeros((len(thetas), 4), dtype=complex)
+        out[:, 0] = [math.cos(th) for th in thetas]
+        out[:, 3] = [math.sin(th) for th in thetas]
+        return out
+    if family == "chi1":
+        cos = np.array([math.cos(th) for th in thetas / 2.0])
+        sin = np.array([math.sin(th) for th in thetas / 2.0])
+        # R_Y(theta) = [[cos, -sin], [sin, cos]] of the half angle
+        u = np.stack([cos, sin, -sin, cos], axis=1).reshape(-1, 2, 2)
+    else:
+        # chi3: unitary (1 + i(cos X + sin Z))/sqrt(2) on the second qubit.
+        cos = np.array([math.cos(th) for th in thetas])[:, None, None]
+        sin = np.array([math.sin(th) for th in thetas])[:, None, None]
+        u = ((PAULI_I + 1.0j * (cos * PAULI_X + sin * PAULI_Z)) / math.sqrt(2)).swapaxes(1, 2)
+    # (1 (x) U)|Phi+> lists the columns of U, each times 1/sqrt(2); ``u``
+    # holds them as rows
+    return u.reshape(-1, 4) * phi_plus[0]
 
 
 def family_vector(params: StateFamilyParams) -> Array:
     """State vector of the requested family (two qubits)."""
-    th = params.theta
-    phi_plus = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
-    if params.family == "bell":
-        return phi_plus
-    if params.family == "psi_theta":
-        return np.array([math.cos(th), 0.0, 0.0, math.sin(th)], dtype=complex)
-    if params.family == "chi1":
-        half = th / 2.0
-        r_y = np.array(
-            [[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]],
-            dtype=complex,
-        )
-        return np.kron(PAULI_I, r_y) @ phi_plus
-    # chi3: unitary (1 + i(cos X + sin Z))/sqrt(2) on the second qubit.
-    h = math.cos(th) * PAULI_X + math.sin(th) * PAULI_Z
-    v = (PAULI_I + 1.0j * h) / math.sqrt(2)
-    return np.kron(PAULI_I, v) @ phi_plus
+    return family_vectors(params.family, [params.theta])[0]
+
+
+def family_states(family: str, thetas: Iterable[float], noise: float = 0.0) -> Array:
+    """Density matrices (N, 4, 4) of a family at each angle, depolarized by
+    ``noise`` when it is nonzero; each is ``make_state``'s, then ``depolarize``'s."""
+    states = _pure_states(family_vectors(family, thetas))
+    if noise:
+        states = _depolarized(states, noise)
+    _check_density(states)
+    return states
 
 
 def make_state(params: StateFamilyParams) -> DensityMatrix:
@@ -157,26 +205,66 @@ def _check_shots(shots: int) -> None:
         raise ValueError(f"shots must lie in [1, {_MAX_SHOTS}], got {shots}")
 
 
+#: The product a * b of each joint outcome, in ``_joint_projectors`` order.
+_OUTCOMES = (1.0, -1.0, -1.0, 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _joint_projectors(a: str, b: str) -> Array:
+    """(4, 4, 4): the projectors onto the joint eigenspaces of A (x) B, for
+    the outcome signs (+, +), (+, -), (-, +), (-, -).  Built once per label
+    pair and shared; read-only."""
+    op_a = _local_operator(a, 2)
+    op_b = _local_operator(b, 2)
+    projectors = np.array([
+        np.kron(0.5 * (PAULI_I + sa * op_a), 0.5 * (PAULI_I + sb * op_b))
+        for sa in (1.0, -1.0)
+        for sb in (1.0, -1.0)
+    ])
+    projectors.setflags(write=False)
+    return projectors
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_projectors() -> Array:
+    """(9, 4, 4, 4): ``_joint_projectors`` of every axis pair, row-major."""
+    projectors = np.array([_joint_projectors(a, b) for a in AXES for b in AXES])
+    projectors.setflags(write=False)
+    return projectors
+
+
+def _outcome_probabilities(projectors: Array, matrices: Array) -> Array:
+    """Born probabilities of ``projectors`` (..., 4, n, n) in ``matrices``
+    (..., n, n): trace, clipped at 0 against roundoff, normalized."""
+    p = np.trace(projectors @ matrices[..., None, :, :], axis1=-2, axis2=-1).real
+    p = np.maximum(p, 0.0)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def _draw_mean(probs: Array, shots: int, rng: np.random.Generator) -> float:
+    counts = rng.multinomial(shots, probs)
+    return float(np.dot(counts, _OUTCOMES) / shots)
+
+
 def _sample_with_rng(
     rho: DensityMatrix, a: str, b: str, shots: int, rng: np.random.Generator
 ) -> float:
     if rho.dims != (2, 2):
         raise ValueError("shot sampling supports qubit pairs only")
-    op_a = _local_operator(a, 2)
-    op_b = _local_operator(b, 2)
-    probs = []
-    outcomes = []
-    for sa in (1.0, -1.0):
-        proj_a = 0.5 * (PAULI_I + sa * op_a)
-        for sb in (1.0, -1.0):
-            proj_b = 0.5 * (PAULI_I + sb * op_b)
-            p = np.trace(np.kron(proj_a, proj_b) @ rho.matrix).real
-            probs.append(max(p, 0.0))
-            outcomes.append(sa * sb)
-    probs = np.array(probs)
-    probs /= probs.sum()
-    counts = rng.multinomial(shots, probs)
-    return float(np.dot(counts, outcomes) / shots)
+    probs = _outcome_probabilities(_joint_projectors(a, b), rho.matrix)
+    return _draw_mean(probs, shots, rng)
+
+
+def _sampled_values(matrices: Array, shots: int, seeds: Iterable[int]) -> Array:
+    """Empirical grids (N, 9) of qubit-pair ``matrices`` (N, 4, 4); the
+    cells of grid n draw from the nine streams spawned from ``seeds[n]``."""
+    probs = _outcome_probabilities(_grid_projectors(), matrices[:, None])
+    out = np.empty(probs.shape[:2])
+    for n, seed in enumerate(seeds):
+        streams = np.random.SeedSequence(seed).spawn(len(AXES) ** 2)
+        for k, stream in enumerate(streams):
+            out[n, k] = _draw_mean(probs[n, k], shots, np.random.default_rng(stream))
+    return out
 
 
 @dataclass(frozen=True)
@@ -264,25 +352,51 @@ def correlator_grid(
     deterministically from ``seed``.
     """
     da, db = rho.dims
-    values: dict[tuple[int, int], float] = {}
     if shots is None:
-        grid = (_contraction_table(da, db) @ rho.matrix.ravel()).real
-        cells = itertools.product(range(da * da - 1), range(db * db - 1))
-        values = dict(zip(cells, grid.tolist()))
+        values = _ideal_values(rho.matrix[None], rho.dims)[0]
     else:
-        if rho.dims != (2, 2):
-            raise ValueError("shot sampling supports qubit pairs only")
-        if seed is None:
-            raise ValueError("seed is required when sampling")
-        _check_shots(shots)
-        streams = np.random.SeedSequence(seed).spawn(9)
-        k = 0
-        for i, a in enumerate(AXES):
-            for j, b in enumerate(AXES):
-                rng = np.random.default_rng(streams[k])
-                values[(i, j)] = _sample_with_rng(rho, a, b, shots, rng)
-                k += 1
-    return CorrelatorGrid(rho.dims, values)
+        _check_sampling(rho.dims, shots, seed)
+        values = _sampled_values(rho.matrix[None], shots, [seed])[0]
+    cells = list(itertools.product(range(da * da - 1), range(db * db - 1)))
+    return CorrelatorGrid._from_array(rho.dims, cells, values)
+
+
+def _check_sampling(dims: tuple[int, int], shots: int, seed: int | None) -> None:
+    if dims != (2, 2):
+        raise ValueError("shot sampling supports qubit pairs only")
+    if seed is None:
+        raise ValueError("seed is required when sampling")
+    _check_shots(shots)
+
+
+def _ideal_values(matrices: Array, dims: tuple[int, int]) -> Array:
+    """Exact grids (N, m * n), row-major, of the density ``matrices`` (N, D, D)."""
+    flat = matrices.reshape(len(matrices), -1, 1)
+    # a stack of matrix-vector products, each the one a single state takes
+    return (_contraction_table(*dims) @ flat)[:, :, 0].real
+
+
+def family_grid_values(
+    family: str,
+    thetas: Iterable[float],
+    noise: float = 0.0,
+    shots: int | None = None,
+    seed: int | None = None,
+) -> Array:
+    """Full grids (N, 9), row-major, of a family at each angle.
+
+    Row n equals the grid of ``correlator_grid`` on ``make_state`` at
+    ``thetas[n]``, depolarized by ``noise``; with ``shots``, row n is
+    sampled with seed ``seed + n``.  The values are checked as a grid's.
+    """
+    states = family_states(family, thetas, noise)
+    if shots is None:
+        values = _ideal_values(states, (2, 2))
+    else:
+        _check_sampling((2, 2), shots, seed)
+        values = _sampled_values(states, shots, range(seed, seed + len(states)))
+    check_correlators((2, 2), _QUBIT_CELLS, values)
+    return values
 
 
 @functools.lru_cache(maxsize=None)
@@ -329,8 +443,12 @@ def sample_separable(
 
 def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     """Mix ``rho`` with white noise: (1 - p) rho + p * 1 / dim."""
+    return DensityMatrix(_depolarized(rho.matrix, p), rho.dims)
+
+
+def _depolarized(matrices: Array, p: float) -> Array:
+    """``depolarize`` of one matrix or a stack (..., D, D)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("noise probability must lie in [0, 1]")
-    dim = rho.dim
-    mixed = (1.0 - p) * rho.matrix + p * np.eye(dim) / dim
-    return DensityMatrix(mixed, rho.dims)
+    dim = matrices.shape[-1]
+    return (1.0 - p) * matrices + p * np.eye(dim) / dim

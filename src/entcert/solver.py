@@ -125,6 +125,14 @@ on one thread of a shared 2-core x86 host, single solves through the
 stacked loop took 2.0x as long (1.17 vs 0.59 ms per solve over 600
 solves), and 19-angle sweeps through the single-grid loop 2.2-3.1x as long
 (27.8-39.3 vs 12.8 ms).
+
+The results of a stack are built together: the shared support is checked
+once, the (N, k) coefficients as one array, and one stacked SVD gives the N
+spectral norms of the witness bounds, each equal to the single matrix's.
+The polish of all grids on the path takes its norms in one stacked SVD
+too.  A sweep hands its (N, k) array of grid values to the stacked entry
+directly, without a grid object per angle.
+
 Solver failures raise SolverError, which is not an input error.
 """
 
@@ -137,7 +145,7 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from .grids import CorrelatorGrid
-from .witness import CoefficientMatrix, NEResult, make_witness_pair
+from .witness import CoefficientMatrix, NEResult, make_witness_pair, spectral_norms
 
 _BACKTRACK = 0.5
 _CENTERED_DECREMENT = 1e-4  # squared Newton decrement: lambda <= 0.01
@@ -463,14 +471,14 @@ def _polish(
     support: Sequence[tuple[int, int]],
     t: float,
 ) -> np.ndarray:
-    """A barrier path's end rescaled onto the boundary ||C(c)||_inf = t."""
+    """Barrier path ends c (..., k) rescaled onto the boundary ||C(c)||_inf = t."""
     # the optimum is attained on the boundary.  On data so small that the
     # path never leaves c = 0, the data scaled to a largest entry of 1 are
     # the direction instead: any feasible c gives a lower bound, and the
     # scaling keeps t / norm finite on subnormal data.
-    direction = c if c.any() else v / np.abs(v).max()
-    norm = CoefficientMatrix(dims, tuple(support), tuple(direction)).operator_norm()
-    return direction * (t / norm)
+    moved = c.any(axis=-1, keepdims=True)
+    direction = np.where(moved, c, v / np.abs(v).max(axis=-1, keepdims=True))
+    return direction * (t / spectral_norms(dims, support, direction)[..., None])
 
 
 def ne_solve(
@@ -502,7 +510,6 @@ def ne_solve_batch(
     given ``measurements``, or else their measured cells); otherwise
     ValueError.  Each result equals that of ``ne_solve`` on its grid.
     """
-    opts = options or SolverOptions()
     if not grids:
         return []
     dims = grids[0].dims
@@ -516,6 +523,19 @@ def ne_solve_batch(
     else:
         support = tuple(sorted((int(i), int(j)) for i, j in measurements))
     values = np.array([[g.value_at(cell) for cell in support] for g in grids])
+    return _ne_solve_stack(dims, support, values, options)
+
+
+def _ne_solve_stack(
+    dims: tuple[int, int],
+    support: tuple[tuple[int, int], ...],
+    values: np.ndarray,
+    options: SolverOptions | None = None,
+) -> list[NEResult]:
+    """``ne_solve`` for each row of ``values`` (N, k), the correlators of a
+    grid on ``support``, checked as ``CorrelatorGrid`` checks them."""
+    opts = options or SolverOptions()
+    count = len(values)
     da, db = dims
     m, n = da * da - 1, db * db - 1
     t = 1.0 / math.sqrt((da - 1) * (db - 1))
@@ -525,7 +545,7 @@ def ne_solve_batch(
     # products differently from the same row solved alone
     lines, corners, blocks, rest = _components(support)
     coeffs = np.zeros(values.shape)
-    ne = np.zeros(len(grids))
+    ne = np.zeros(count)
     if lines:
         sizes = [len(line) for line in lines]
         order = np.concatenate(lines)
@@ -545,40 +565,42 @@ def ne_solve_batch(
     for block in blocks:
         optima, polar = _complete_blocks(np.ascontiguousarray(values[:, block]))
         ne += t * optima
-        coeffs[:, np.ravel(block)] = t * polar.reshape(len(grids), -1)
-    steps = np.zeros(len(grids), dtype=int)
-    gaps = np.zeros(len(grids))
+        coeffs[:, np.ravel(block)] = t * polar.reshape(count, -1)
+    steps = np.zeros(count, dtype=int)
+    gaps = np.zeros(count)
     if rest:
         cells = [support[k] for k in rest]
         part = np.ascontiguousarray(values[:, rest])
         rows = np.flatnonzero(part.any(axis=1))
-        paths: Sequence[np.ndarray] = []
         # the stack height picks the loop: at one row the scalar one is faster
         if len(rows) == 1:
             c, steps[rows], gaps[rows] = _maximize(part[rows[0]], cells, m, n, t, opts)
-            paths = [c]
+            paths = c[None]
         elif len(rows) > 1:
             paths, steps[rows], gaps[rows] = _maximize_stack(
                 part[rows], cells, m, n, t, opts
             )
-        for row, c in zip(rows, paths):
-            coeffs[row, rest] = _polish(part[row], c, dims, cells, t)
+        if len(rows):
+            coeffs[np.ix_(rows, rest)] = _polish(part[rows], paths, dims, cells, t)
+        for row in rows:
             ne[row] += abs(float(part[row] @ coeffs[row, rest]))
 
-    results = []
-    for row, v in enumerate(values):
-        if not v.any():
-            # every feasible point is optimal; the witness needs a nonzero one
-            coeffs[row, 0] = t
-        matrix = CoefficientMatrix(dims, support, tuple(coeffs[row].tolist()))
-        results.append(NEResult(
-            value=float(ne[row]),
+    # every feasible point is optimal on zero data; the witness needs a
+    # nonzero one
+    coeffs[~values.any(axis=1), 0] = t
+    matrices = CoefficientMatrix.stack(dims, support, coeffs)
+    return [
+        NEResult(
+            value=value,
             coefficients=matrix,
-            iterations=int(steps[row]),
-            gap=float(gaps[row]),
+            iterations=iterations,
+            gap=gap,
             witness=make_witness_pair(matrix),
-        ))
-    return results
+        )
+        for value, matrix, iterations, gap in zip(
+            ne.tolist(), matrices, steps.tolist(), gaps.tolist()
+        )
+    ]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -50,27 +50,39 @@ class CoefficientMatrix:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        da, db = self.dims
-        if da < 2 or db < 2:
-            raise ValueError(f"local dimensions must be >= 2, got {self.dims}")
-        if len(self.support) != len(self.coeffs):
-            raise ValueError("support and coefficients differ in length")
-        if not self.support:
-            raise ValueError("empty support")
-        ra, rb = da * da - 1, db * db - 1
-        seen = set()
-        support = tuple((int(i), int(j)) for i, j in self.support)
-        for i, j in support:
-            if not (0 <= i < ra and 0 <= j < rb):
-                raise ValueError(f"index pair ({i}, {j}) outside basis range")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate support entry ({i}, {j})")
-            seen.add((i, j))
+        support = _checked_support(self.dims, self.support, len(self.coeffs))
         coeffs = tuple(float(c) for c in self.coeffs)
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def stack(
+        cls,
+        dims: tuple[int, int],
+        support: tuple[tuple[int, int], ...],
+        coeffs: Array,
+    ) -> list["CoefficientMatrix"]:
+        """One matrix per row of ``coeffs`` (N, k), all on ``support``.
+
+        The support is checked once and the coefficients as one array, with
+        the constructor's messages.  All N spectral norms come from one
+        stacked SVD, each the single matrix's to the bit, and are cached.
+        """
+        support = _checked_support(dims, support, coeffs.shape[1])
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
+        matrices = []
+        norms = spectral_norms(dims, support, coeffs).tolist()
+        for row, norm in zip(coeffs.tolist(), norms):
+            matrix = object.__new__(cls)
+            object.__setattr__(matrix, "dims", dims)
+            object.__setattr__(matrix, "support", support)
+            object.__setattr__(matrix, "coeffs", tuple(row))
+            matrix.__dict__["_operator_norm"] = norm
+            matrices.append(matrix)
+        return matrices
 
     @classmethod
     def from_qubit_labels(cls, entries: Mapping[str, float]) -> "CoefficientMatrix":
@@ -105,6 +117,42 @@ class CoefficientMatrix:
             pair_label(self.dims, pair): c
             for pair, c in zip(self.support, self.coeffs)
         }
+
+
+def _checked_support(
+    dims: tuple[int, int], support: tuple, count: int
+) -> tuple[tuple[int, int], ...]:
+    """``support`` as int pairs, checked against ``dims`` and ``count`` coefficients."""
+    da, db = dims
+    if da < 2 or db < 2:
+        raise ValueError(f"local dimensions must be >= 2, got {dims}")
+    if len(support) != count:
+        raise ValueError("support and coefficients differ in length")
+    if not support:
+        raise ValueError("empty support")
+    ra, rb = da * da - 1, db * db - 1
+    seen = set()
+    cells = tuple((int(i), int(j)) for i, j in support)
+    for i, j in cells:
+        if not (0 <= i < ra and 0 <= j < rb):
+            raise ValueError(f"index pair ({i}, {j}) outside basis range")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate support entry ({i}, {j})")
+        seen.add((i, j))
+    return cells
+
+
+def spectral_norms(
+    dims: tuple[int, int], support: Sequence[tuple[int, int]], coeffs: Array
+) -> Array:
+    """Largest singular values of the coefficient matrices ``coeffs`` (..., k)
+    on ``support``, from one stacked SVD; each equals the single matrix's bit
+    for bit."""
+    m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    dense = np.zeros(coeffs.shape[:-1] + (m * n,))
+    dense[..., np.array([i * n + j for i, j in support])] = coeffs
+    shape = coeffs.shape[:-1] + (m, n)
+    return np.linalg.svd(dense.reshape(shape), compute_uv=False)[..., 0]
 
 
 def separable_bound(c: CoefficientMatrix) -> float:

@@ -245,10 +245,14 @@ _HUGE = "9" * 401  # a JSON integer beyond the float range
          "sweep range must be finite"),
         (["sweep", "--family", "bell", "--from", "1e308", "--to=-1e308"],
          "sweep range must be finite"),
+        # rejected before any angle is allocated
+        (["sweep", "--family", "bell", "--steps", str(10**12)],
+         "--steps must be at most 10000"),
     ],
     ids=["verify_correlator", "witness_correlator", "dims", "spi_coeff", "spi_coeff_sum",
          "simulate_pi_numerator", "simulate_pi_denominator", "sweep_pi_numerator",
-         "simulate_shots", "sweep_shots", "sweep_infinite_bound", "sweep_infinite_span"],
+         "simulate_shots", "sweep_shots", "sweep_infinite_bound", "sweep_infinite_span",
+         "sweep_steps"],
 )
 def test_numbers_beyond_range_are_input_errors(capsys, argv, message):
     rc, out, err = _run(capsys, argv)
@@ -374,6 +378,38 @@ def test_sampled_sweep_rows_equal_solving_each_angle_alone(capsys):
         row = (render_float(theta), render_float(res.value), res.verdict)
         expected.append(",".join(row))
     assert out.strip().splitlines() == expected
+
+
+# the full grid, a staircase (barrier path), two lines and a corner
+_SWEEP_SUPPORTS = (None, "XX,XY,YY,YZ", "XX,ZZ", "XX,XY,ZX")
+
+
+@pytest.mark.parametrize("family", qmodel.FAMILIES)
+@pytest.mark.parametrize("shots", [None, 250])
+def test_sweep_rows_equal_the_grids_of_each_angle_solved_as_a_batch(capsys, family, shots):
+    # the reference builds each angle's grid alone, as simulate does
+    seed = 5 if shots else None
+    lo, hi, steps = -2.5, 2.9, 7
+    for noise in (0.0, 0.1):
+        for labels in _SWEEP_SUPPORTS:
+            argv = ["sweep", "--family", family, "--noise", str(noise),
+                    f"--from={lo}", f"--to={hi}", "--steps", str(steps)]
+            argv += ["--set", labels] if labels else []
+            argv += ["--shots", str(shots), "--seed", str(seed)] if shots else []
+            rc, out, err = _run(capsys, argv)
+            assert (rc, err) == (0, "")
+            thetas = [float(theta) for theta in np.linspace(lo, hi, steps)]
+            grids = [
+                cli._family_grid(family, theta, noise, shots, seed + k if shots else None)
+                for k, theta in enumerate(thetas)
+            ]
+            mset = MeasurementSet.parse(labels or "XX,XY,XZ,YX,YY,YZ,ZX,ZY,ZZ")
+            results = solver.ne_solve_batch(grids, mset)
+            expected = ["theta,ne,verdict"] + [
+                f"{render_float(theta)},{render_float(res.value)},{res.verdict}"
+                for theta, res in zip(thetas, results)
+            ]
+            assert out.splitlines() == expected, argv
 
 
 def test_solver_failure_has_its_own_exit_code(capsys, tmp_path):

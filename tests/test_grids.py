@@ -11,6 +11,7 @@ from entcert.grids import (
     AXES,
     CorrelatorGrid,
     MeasurementSet,
+    check_correlators,
     emit_grid,
     parse_grid,
     render_float,
@@ -245,3 +246,45 @@ def test_support_entry_points_take_any_iterable_of_cells(name):
 def test_grid_requires_dimensions_at_least_two():
     with pytest.raises(ValueError, match="dimensions"):
         CorrelatorGrid((1, 2), {(0, 0): 0.5})
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        # each entry fails its cell, then finiteness, then magnitude: the
+        # first offending entry is named, whatever fails later
+        ({(0, 0): 0.5, (9, 0): 0.1, (1, 1): 5.0}, r"index pair \(9, 0\) outside basis range"),
+        ({(0, 0): 5.0, (9, 0): 0.1}, r"correlator 0,0 out of range: 5 \(\|value\| > 2.1\)"),
+        ({(0, 0): math.nan, (1, 1): 5.0}, "correlator 0,0 is not finite"),
+        ({(0, 0): 0.5, (1, 1): -math.inf}, "correlator 1,1 is not finite"),
+        ({(0, 0): 0.5, (1, 1): 10**400, (9, 9): 0.1}, "correlator 1,1 is too large"),
+        ({(9, 9): 0.1, (1, 1): 10**400}, r"index pair \(9, 9\) outside basis range"),
+        ({(0, 0): 3.0, (1, 1): 10**400}, "correlator 0,0 out of range"),
+        ({(0, 0): 3.0, (1, 1): "x"}, "correlator 0,0 out of range"),
+        ({(0, 0): 0.5, (1, 1): "x"}, "could not convert string to float"),
+    ],
+)
+def test_the_first_offending_entry_is_named(values, message):
+    with pytest.raises(ValueError, match=message):
+        CorrelatorGrid((3, 3), values)
+
+
+def test_stacked_correlators_name_the_first_offending_entry():
+    cells = [(0, 0), (0, 1), (1, 0)]
+    good = np.full((4, 3), 0.5)
+    check_correlators((2, 2), cells, good)
+    stack = good.copy()
+    stack[1, 2] = 1.2
+    stack[2, 0] = math.nan
+    with pytest.raises(ValueError, match=r"correlator YX out of range: 1.2 \(\|value\| > 1.05\)"):
+        check_correlators((2, 2), cells, stack)
+    stack[1, 2] = 0.5
+    with pytest.raises(ValueError, match="correlator XX is not finite"):
+        check_correlators((2, 2), cells, stack)
+    with pytest.raises(ValueError, match=r"index pair \(3, 0\) outside basis range"):
+        check_correlators((2, 2), [(0, 0), (0, 1), (3, 0)], good)
+    # a grid built from an array is checked the same way
+    with pytest.raises(ValueError, match="correlator XY is not finite"):
+        CorrelatorGrid._from_array((2, 2), cells, np.array([0.5, math.inf, 0.5]))
+    grid = CorrelatorGrid._from_array((2, 2), cells, good[0])
+    assert grid == CorrelatorGrid((2, 2), dict.fromkeys(cells, 0.5))

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 
+from entcert import cli
 from entcert import qmodel as qm
+from entcert.grids import CorrelatorGrid, emit_grid
 
 
 def _fidelity(rho: qm.DensityMatrix, vec: np.ndarray) -> float:
@@ -307,3 +311,113 @@ def test_depolarize_limits():
     assert np.allclose(qm.depolarize(rho, 0.0).matrix, rho.matrix)
     with pytest.raises(ValueError):
         qm.depolarize(rho, 1.5)
+
+
+def test_joint_projectors_are_shared_and_read_only():
+    projectors = qm._joint_projectors("X", "Z")
+    assert qm._joint_projectors("X", "Z") is projectors
+    assert np.allclose(projectors.sum(axis=0), np.eye(4))
+    grid = qm._grid_projectors()
+    assert qm._grid_projectors() is grid
+    assert grid.shape == (9, 4, 4, 4)
+    assert grid[2] is not projectors and np.array_equal(grid[2], projectors)
+    for table in (projectors, grid):
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 2.0
+
+
+def _reference_vector(family, theta):
+    """The family formulas written for one angle, with a kron per call."""
+    phi_plus = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
+    if family == "bell":
+        return phi_plus
+    if family == "psi_theta":
+        return np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)], dtype=complex)
+    if family == "chi1":
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        r_y = np.array([[c, -s], [s, c]], dtype=complex)
+        return np.kron(qm.PAULI_I, r_y) @ phi_plus
+    h = math.cos(theta) * qm.PAULI_X + math.sin(theta) * qm.PAULI_Z
+    return np.kron(qm.PAULI_I, (qm.PAULI_I + 1.0j * h) / math.sqrt(2)) @ phi_plus
+
+
+def _reference_grid(family, theta, noise, shots, seed):
+    v = _reference_vector(family, theta)
+    v = v / np.linalg.norm(v)
+    rho = np.outer(v, v.conj())
+    if noise:
+        rho = (1.0 - noise) * rho + noise * np.eye(4) / 4
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    if shots is None:
+        values = (qm._contraction_table(2, 2) @ rho.ravel()).real.tolist()
+        return CorrelatorGrid((2, 2), dict(zip(cells, values)))
+    streams = np.random.SeedSequence(seed).spawn(9)
+    values = {}
+    for (i, j), stream in zip(cells, streams):
+        probs, outcomes = [], []
+        for sa in (1.0, -1.0):
+            proj_a = 0.5 * (qm.PAULI_I + sa * qm.PAULI["XYZ"[i]])
+            for sb in (1.0, -1.0):
+                proj_b = 0.5 * (qm.PAULI_I + sb * qm.PAULI["XYZ"[j]])
+                p = np.trace(np.kron(proj_a, proj_b) @ rho).real
+                probs.append(max(p, 0.0))
+                outcomes.append(sa * sb)
+        probs = np.array(probs)
+        probs /= probs.sum()
+        counts = np.random.default_rng(stream).multinomial(shots, probs)
+        values[(i, j)] = float(np.dot(counts, outcomes) / shots)
+    return CorrelatorGrid((2, 2), values)
+
+
+@pytest.mark.parametrize("family", qm.FAMILIES)
+def test_simulate_bytes_equal_the_one_angle_reference(family):
+    rng = np.random.default_rng(sum(map(ord, family)))
+    for theta in [0.0, math.pi / 4, -math.pi, *rng.uniform(-7.0, 7.0, size=6).tolist()]:
+        for noise in (0.0, 0.1, 0.37):
+            for shots in (None, 1, 500):
+                seed = None if shots is None else int(rng.integers(2**31))
+                argv = ["simulate", "--family", family, f"--theta={theta!r}",
+                        "--noise", repr(noise)]
+                if shots:
+                    argv += ["--shots", str(shots), "--seed", str(seed)]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert cli.main(argv) == 0
+                want = _reference_grid(family, theta, noise, shots, seed)
+                assert out.getvalue().encode() == emit_grid(want), argv
+
+
+@pytest.mark.parametrize("family", qm.FAMILIES)
+def test_stacked_family_grids_are_the_one_angle_grids_bit_for_bit(family):
+    thetas = np.linspace(-4.0, 4.0, 23)
+    for noise in (0.0, 0.2):
+        states = qm.family_states(family, thetas, noise)
+        for shots, seed in ((None, None), (300, 41)):
+            values = qm.family_grid_values(family, thetas, noise, shots, seed)
+            assert values.shape == (23, 9)
+            for k, theta in enumerate(thetas.tolist()):
+                rho = qm.make_state(qm.StateFamilyParams(family, theta))
+                if noise:
+                    rho = qm.depolarize(rho, noise)
+                assert np.array_equal(states[k], rho.matrix)
+                one = qm.correlator_grid(rho, shots, None if seed is None else seed + k)
+                assert values[k].tolist() == [one.values[c] for c in one.measured]
+
+
+def test_stacked_family_states_are_checked():
+    with pytest.raises(ValueError, match="unknown family"):
+        qm.family_states("ghz", [0.0])
+    with pytest.raises(ValueError, match="theta must be finite"):
+        qm.family_states("chi1", [0.0, math.inf])
+    with pytest.raises(ValueError, match="noise probability"):
+        qm.family_states("bell", [0.0], 1.5)
+    with pytest.raises(ValueError, match="seed is required"):
+        qm.family_grid_values("bell", [0.0], shots=10)
+    with pytest.raises(ValueError, match="shots must lie in"):
+        qm.family_grid_values("bell", [0.0], shots=0, seed=1)
+    with pytest.raises(ValueError, match="zero state vector"):
+        qm.DensityMatrix.from_vector(np.zeros(4), (2, 2))
+    not_hermitian = np.zeros((2, 4, 4), dtype=complex)
+    not_hermitian[1, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        qm._check_density(not_hermitian)

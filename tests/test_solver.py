@@ -744,6 +744,46 @@ def test_stacked_results_are_those_of_each_grid_alone_bit_for_bit():
     assert paths > 100
 
 
+def test_stacked_norms_and_bounds_are_the_single_matrix_svd_bit_for_bit():
+    rng = np.random.default_rng(29)
+    results = 0
+    for cells, grids in [_random_stack(rng) for _ in range(40)]:
+        for res in solver.ne_solve_batch(grids, cells):
+            coefficients = res.coefficients
+            dense = coefficients.dense()
+            norm = float(np.linalg.svd(dense, compute_uv=False)[0])
+            da, db = coefficients.dims
+            assert coefficients.operator_norm() == norm
+            assert res.witness.bound == math.sqrt((da - 1) * (db - 1)) * norm
+            assert res.witness.expansion is coefficients
+            # the matrix is what the checking constructor builds
+            rebuilt = CoefficientMatrix(
+                coefficients.dims, coefficients.support, coefficients.coeffs
+            )
+            assert rebuilt.support == coefficients.support == tuple(sorted(cells))
+            assert rebuilt.coeffs == coefficients.coeffs
+            assert rebuilt.operator_norm() == norm
+            results += 1
+    assert results > 300
+
+
+@pytest.mark.parametrize(
+    "support, coeffs, message",
+    [
+        (((0, 0), (1, 1)), [[0.5, 0.5], [0.5, np.nan]], "coefficients must be finite"),
+        (((0, 0), (1, 1)), [[np.inf, 0.5]], "coefficients must be finite"),
+        (((0, 0), (0, 3)), [[0.5, 0.5]], r"index pair \(0, 3\) outside basis range"),
+        (((0, 0), (0, 0)), [[0.5, 0.5]], r"duplicate support entry \(0, 0\)"),
+        (((0, 0),), [[0.5, 0.5]], "support and coefficients differ in length"),
+    ],
+)
+def test_stacked_coefficients_are_checked_as_each_matrix_is(support, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        CoefficientMatrix((2, 2), support, tuple(coeffs[-1]))
+    with pytest.raises(ValueError, match=message):
+        CoefficientMatrix.stack((2, 2), support, np.array(coeffs))
+
+
 def _inside(rng, count, k):
     """Rows c with ||C||_inf <= ||C||_F < 0.49: inside the ball of t = 0.5."""
     cs = rng.uniform(-1.0, 1.0, size=(count, k))
