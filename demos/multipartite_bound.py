@@ -21,6 +21,7 @@ def main() -> None:
     spi = spi_lambda_max(obs)
     print(f"product-state maximum : {spi.lambda_max:.6f}")
     print(f"restarts / converged  : {spi.restarts_used} / {spi.converged}")
+    print(f"starts at the maximum : {spi.best_starts}")
 
     # GHZ stabilizer data: every listed correlator is exactly 1
     result = ne_multipartite(words, [1.0, 1.0, 1.0, 1.0])

@@ -17,7 +17,9 @@ monotonically and converges to a (local) maximum; a multistart over local
 basis eigenvectors plus random product states is used to escape poor
 basins.  The policy is fixed: the first 216 combinations of local
 eigenvectors, then 8 Haar-random product states drawn from ``seed`` (11 by
-default), the one knob.  All starts of one search advance in lockstep, and
+default), the one knob.  That multistart is built once per (dims, seed),
+in the sweep's form below, and held read-only in a bounded cache, so a
+search only sweeps.  All starts of one search advance in lockstep, and
 a start leaves the active set at its first sweep that gains less than
 1e-10, or after 500 sweeps.  A search sweeps the coefficients scaled by
 the power of two that puts the largest |coefficient| in (0.5, 1], and
@@ -25,10 +27,11 @@ scales its values back, so that these tolerances are relative to the
 observable.  Qubit sites are swept in Bloch coordinates: a qubit's
 effective operator is g 1 + h . sigma, whose top eigenvector has Bloch
 vector h / |h|, so each update is that closed form over the S starts still
-active, and the spinors are formed once, at the end of the search.  Every
-other site update is one batched eigensolve over the ``(S, d, d)``
-effective operators.  No global-optimality claim is attached to the
-outcome; results carry restart counts and convergence flags instead.
+active, and only the reported start is turned into spinors, at the end of
+the search.  Every other site update is one batched eigensolve over the
+``(S, d, d)`` effective operators.  No global-optimality claim is attached
+to the outcome; results carry restart counts, the number of starts that
+reached the best value, and convergence flags instead.
 
 k-separable relaxations reuse the same iteration with sites grouped into
 blocks: a block behaves as a single site of the product dimension and its
@@ -45,8 +48,10 @@ re-evaluations, multistarted from 16 coefficient initializations (seed
 5) of at most 40 rounds each, and reports the best local optimum found.
 Each evaluation sweeps only the first 12 eigenvector combinations plus
 the previous optimizer; the reported optimum gets the full multistart.
-The Pauli products and the inner starts are built once per call, and
-each evaluation only reweights them.  Values above 1 are incompatible
+The Pauli products, their sweep sites and the inner starts are built
+once per call, and each evaluation only reweights them and appends the
+previous optimizer.  Estimates must be finite and within the qubit
+correlator cap of ``grids.VALUE_CAP``.  Values above 1 are incompatible
 with fully separable states provided lambda_max was not underestimated;
 SPI's value is a lower bound on the maximum, so the verdict is
 heuristic, not certified.
@@ -61,6 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .grids import VALUE_CAP
 from .qmodel import PAULI, gell_mann_basis
 from .witness import ne_verdict
 
@@ -76,6 +82,12 @@ _MAX_SWEEPS = 500
 #: The multistart of spi_lambda_max: eigenvector combinations, then random starts.
 _EIGEN_STARTS = 216
 _RANDOM_STARTS = 8
+#: Multistarts held in sweep form, one per (dims, seed); past this many the
+#: least recently used is dropped.
+_CACHED_STARTS = 32
+#: Starts whose scaled value is within _BEST_TOL * max(1, |best|) of the best
+#: one count as reaching it.
+_BEST_TOL = 1e-9
 #: ne_multipartite's coefficient starts, the rounds of each, and their seed.
 _COEFF_STARTS = 16
 _MAX_ROUNDS = 40
@@ -213,10 +225,17 @@ class ProductState:
 
 @dataclass(frozen=True)
 class SPIResult:
+    """The best start of a search.
+
+    ``best_starts`` counts the starts that reached the best value, to
+    within ``_BEST_TOL`` relative to it on the scaled coefficients.
+    """
+
     lambda_max: float
     optimizer: ProductState
     restarts_used: int
     converged: bool
+    best_starts: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -407,31 +426,46 @@ def _require_unit(vectors: Sequence[np.ndarray]) -> None:
             raise ValueError("product-state factors must be unit vectors")
 
 
+def _site_class(d: int) -> type:
+    """The sweep's form of a site of local dimension ``d``."""
+    return _QubitSite if d == 2 else _VectorSite
+
+
+def _sites(obs: ObservableSum) -> list:
+    """One sweep site per party, built from its factor stack."""
+    return [_site_class(f.shape[1])(f) for f in obs.factor_stacks]
+
+
+def _sweep_form(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Unit vectors, one ``(S, d)`` array per site, checked and in state form."""
+    _require_unit(vectors)
+    return [_site_class(v.shape[-1]).state(v) for v in vectors]
+
+
+@functools.lru_cache(maxsize=_CACHED_STARTS)
+def _sweep_starts(dims: tuple[int, ...], seed: int) -> tuple[np.ndarray, ...]:
+    """``_starts(dims, seed)`` in sweep form: built once per key, read-only."""
+    states = tuple(_sweep_form(_starts(dims, seed)))
+    for x in states:
+        x.flags.writeable = False
+    return states
+
+
 def _lockstep_sweeps(
-    obs: ObservableSum, vectors: Sequence[np.ndarray]
+    coeffs: np.ndarray, sites: Sequence, states: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Sweep every start to convergence at once.
 
-    ``vectors`` holds one ``(S, d)`` array per site.  Each site holds its
-    starts in its own state form: Bloch vectors on qubits (``_QubitSite``),
-    the vectors themselves elsewhere (``_VectorSite``).  A site maps vectors
-    to states (``state``), states to per-term expectations
-    (``expectations``), term weights to the next states (``update``) and
-    states back to vectors (``vectors``).  A start leaves the active set
-    at the first sweep that gains less than ``_SWEEP_TOL``; the rest advance
-    together.  The sweep runs on the coefficients scaled by the power of two
-    that puts the largest |coefficient| in (0.5, 1], so that the absolute
-    tolerances and h . h see unit scale; the values are scaled back.
-    Returns the final values, vectors and convergence flags per start.
+    ``states`` holds each site's starts in that site's state form
+    (``_sweep_form``): Bloch vectors on qubits (``_QubitSite``), the
+    vectors themselves elsewhere (``_VectorSite``).  A site maps states to
+    per-term expectations (``expectations``) and term weights to the next
+    states (``update``).  A start leaves the active set at the first sweep
+    that gains less than ``_SWEEP_TOL``; the rest advance together.  The
+    given arrays are only read.  Returns the final values, states and
+    convergence flags per start.
     """
-    mantissa, exponent = np.frexp(np.abs(obs.coefficients).max())
-    shift = int(exponent) - int(mantissa == 0.5)
-    coeffs = np.ldexp(obs.coefficients, -shift)
-    sites = [
-        _QubitSite(f) if f.shape[1] == 2 else _VectorSite(f) for f in obs.factor_stacks
-    ]
-    _require_unit(vectors)
-    states = [site.state(v) for site, v in zip(sites, vectors)]
+    states = list(states)
     count = states[0].shape[0]
     values = np.empty(count)
     converged = np.zeros(count, dtype=bool)
@@ -464,19 +498,35 @@ def _lockstep_sweeps(
         for x, o in zip(states, out):
             o[live] = x
         values[live] = value
-    values = np.ldexp(values, shift)
-    return values, [site.vectors(o) for site, o in zip(sites, out)], converged
+    return values, out, converged
 
 
-def _best_start(obs: ObservableSum, starts: Sequence[np.ndarray]) -> SPIResult:
-    """Sweep ``starts``, one ``(S, d)`` array per site, and report the first best."""
-    values, vectors, converged = _lockstep_sweeps(obs, starts)
+def _best_start(
+    coefficients: np.ndarray, sites: Sequence, states: Sequence[np.ndarray]
+) -> SPIResult:
+    """Sweep ``states`` (``_sweep_form``) and report the first best start.
+
+    The sweep runs on the coefficients scaled by the power of two that puts
+    the largest |coefficient| in (0.5, 1], so that the absolute tolerances
+    and h . h see unit scale; the values are scaled back.  Only the
+    reported start is turned back into vectors.
+    """
+    mantissa, exponent = np.frexp(np.abs(coefficients).max())
+    shift = int(exponent) - int(mantissa == 0.5)
+    scaled, final, converged = _lockstep_sweeps(
+        np.ldexp(coefficients, -shift), sites, states
+    )
+    values = np.ldexp(scaled, shift)
     best = int(np.argmax(values))
+    top = scaled.max()
     return SPIResult(
         lambda_max=float(values[best]),
-        optimizer=ProductState([v[best] for v in vectors]),
+        optimizer=ProductState(
+            [site.vectors(x[best:best + 1])[0] for site, x in zip(sites, final)]
+        ),
         restarts_used=len(values),
         converged=bool(converged[best]),
+        best_starts=int(np.count_nonzero(top - scaled <= _BEST_TOL * max(1.0, abs(top)))),
     )
 
 
@@ -487,10 +537,13 @@ def spi_lambda_max(obs: ObservableSum, seed: int = 11) -> SPIResult:
     effective operator (ties resolved toward the current vector), which
     never decreases the objective.  All starts advance in lockstep, each
     stopping at its own first sweep that gains less than ``_SWEEP_TOL``;
-    the first start reaching the best value is reported.  ``seed`` draws
-    the random starts.
+    the first start reaching the best value is reported.  ``seed``, a
+    non-negative int, draws the random starts; the multistart of each
+    ``(obs.dims, seed)`` is built once and kept.
     """
-    return _best_start(obs, _starts(obs.dims, seed))
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, not {seed!r}")
+    return _best_start(obs.coefficients, _sites(obs), _sweep_starts(obs.dims, seed))
 
 
 def k_separable_lambda_max(
@@ -548,15 +601,30 @@ def ne_multipartite(
     full-multistart SPI evaluation.
     """
     labels = tuple(obs_support)
-    est = np.array([float(e) for e in estimates])
-    if len(labels) != len(est):
+    raw = list(estimates)
+    if len(labels) != len(raw):
         raise ValueError("supports and estimates must have equal length")
     if not labels:
         raise ValueError("empty observable support")
+    values = []
+    for label, e in zip(labels, raw):
+        try:
+            value = float(e)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        # written so that NaN fails it too
+        if not abs(value) <= VALUE_CAP:
+            raise ValueError(
+                f"estimate of {label} must be finite and within +-{VALUE_CAP}, not {e!r}"
+            )
+        values.append(value)
+    est = np.array(values)
 
-    # the Pauli products, built once; each evaluation only reweights them
+    # the Pauli products, their sweep sites and the inner starts, built once;
+    # each evaluation only reweights them and appends the previous optimizer
     paulis = ObservableSum.from_pauli_strings([(1.0, label) for label in labels])
-    inner = _eigen_starts(paulis.dims, _INNER_STARTS)
+    sites = _sites(paulis)
+    inner = _sweep_form(_eigen_starts(paulis.dims, _INNER_STARTS))
     k = len(labels)
     starts: list[np.ndarray] = []
     nrm = float(np.linalg.norm(est))
@@ -574,11 +642,11 @@ def ne_multipartite(
         return -c if float(c @ est) < 0 else c
 
     def objective(c: np.ndarray, warm: ProductState | None):
-        obs = ObservableSum._stacked(c, paulis.factor_stacks)
-        vectors = inner if warm is None else [
-            np.concatenate([v, w[None]]) for v, w in zip(inner, warm.vectors)
+        states = inner if warm is None else [
+            np.concatenate([x, w])
+            for x, w in zip(inner, _sweep_form([v[None] for v in warm.vectors]))
         ]
-        res = _best_start(obs, vectors)
+        res = _best_start(c, sites, states)
         lam = res.lambda_max
         if lam <= 1e-12:
             return -math.inf, res

@@ -178,6 +178,16 @@ def test_spi_inline_observable(capsys):
     assert result["lambda_max"] == pytest.approx(1.0, abs=1e-10)
     assert result["converged"] is True
     assert len(result["optimizer"]) == 3
+    # the envelope reports the four fields it always has, not best_starts
+    assert sorted(result) == ["converged", "lambda_max", "optimizer", "restarts_used"]
+
+
+def test_spi_negative_seed_is_an_input_error(capsys):
+    obs = json.dumps([{"coeff": 1.0, "paulis": "ZZZ"}])
+    rc, out, err = _run(capsys, ["spi", "--observable", obs, "--seed=-1"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed must be a non-negative int, not -1" in err
 
 
 def test_spi_reads_observable_file(capsys, tmp_path):

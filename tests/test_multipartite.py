@@ -362,7 +362,8 @@ def test_capped_starts_keep_an_optimal_vector_on_a_zero_operator():
     # on sites 1-2 of XYY, where the effective operator of site 0 vanishes;
     # the sweep must keep X+ there
     obs = mp.ObservableSum.from_pauli_strings([(1.0, "XYY")])
-    res = mp._best_start(obs, mp._eigen_starts(obs.dims, mp._INNER_STARTS))
+    states = mp._sweep_form(mp._eigen_starts(obs.dims, mp._INNER_STARTS))
+    res = mp._best_start(obs.coefficients, mp._sites(obs), states)
     assert res.restarts_used == 12
     assert res.lambda_max == pytest.approx(1.0, abs=1e-12)
 
@@ -469,8 +470,15 @@ def _lockstep_cases():
 @pytest.mark.parametrize("name, obs", _lockstep_cases())
 def test_lockstep_sweep_equals_one_start_at_a_time(name, obs):
     """Batching the starts changes no start's value or convergence flag."""
+    # the largest |coefficient| is in (0.5, 1] already, so spi_lambda_max's
+    # power-of-two scaling leaves the coefficients swept here as they are
+    assert 0.5 < np.abs(obs.coefficients).max() <= 1.0
     starts = mp._starts(obs.dims, 11)
-    values, vectors, converged = mp._lockstep_sweeps(obs, starts)
+    sites = mp._sites(obs)
+    values, states, converged = mp._lockstep_sweeps(
+        obs.coefficients, sites, mp._sweep_form(starts)
+    )
+    vectors = [site.vectors(x) for site, x in zip(sites, states)]
     assert len(values) == 224
     for site in range(obs.parties):
         batched = mp._effective_operator(obs, starts, site)
@@ -478,7 +486,9 @@ def test_lockstep_sweep_equals_one_start_at_a_time(name, obs):
             single = mp._effective_operator(obs, [v[i] for v in starts], site)
             assert np.allclose(batched[i], single, rtol=0, atol=1e-14)
     for i in range(len(values)):
-        one_values, _, one_converged = mp._lockstep_sweeps(obs, [v[i:i + 1] for v in starts])
+        one_values, _, one_converged = mp._lockstep_sweeps(
+            obs.coefficients, sites, mp._sweep_form([v[i:i + 1] for v in starts])
+        )
         assert abs(one_values[0] - values[i]) <= 1e-12
         assert one_converged[0] == converged[i]
         ref_value, ref_converged = _reference_sweep(obs, [v[i] for v in starts])
@@ -547,3 +557,194 @@ def test_ne_multipartite_never_flags_product_mixtures():
         res = mp.ne_multipartite(support, _product_mixture_correlators(rng, support))
         assert res.value <= 1.0 + DETECTION_TOL, (support, res.value)
         assert res.verdict == "undetected"
+
+
+# -- the cached multistart ------------------------------------------------------
+
+
+def _uncached_search(obs, seed=11):
+    """The search on freshly built starts, with every final row made vectors."""
+    mantissa, exponent = np.frexp(np.abs(obs.coefficients).max())
+    shift = int(exponent) - int(mantissa == 0.5)
+    sites = mp._sites(obs)
+    scaled, states, converged = mp._lockstep_sweeps(
+        np.ldexp(obs.coefficients, -shift), sites, mp._sweep_form(mp._starts(obs.dims, seed))
+    )
+    values = np.ldexp(scaled, shift)
+    vectors = [site.vectors(x) for site, x in zip(sites, states)]
+    best = int(np.argmax(values))
+    return values[best], [v[best] for v in vectors], len(values), converged[best], scaled
+
+
+GHZ_WORDS = ["XXX", "ZZI", "ZIZ", "IZZ"]
+
+
+def _cached_path_cases():
+    cases = list(_lockstep_cases())
+    for name, terms in [
+        ("ZZZ", [(1.0, "ZZZ")]),
+        ("ghz_stabilizers", [(1.0, w) for w in GHZ_WORDS]),
+        ("mermin", [(1.0, "XXX"), (-1.0, "XYY"), (-1.0, "YXY"), (-1.0, "YYX")]),
+        ("four_qubit", [(1.0, "XXXX"), (0.5, "ZZII"), (0.7, "IZZI"), (-0.3, "YYZZ")]),
+    ]:
+        cases.append((name, mp.ObservableSum.from_pauli_strings(terms)))
+    ghz = mp.ObservableSum.from_pauli_strings([(1.0, w) for w in GHZ_WORDS])
+    cases.append(("k_separable", ghz.blocked([[0, 1], [2]])))
+    return cases
+
+
+def _assert_same_result(res, want):
+    value, vectors, restarts, converged, _ = want
+    assert res.lambda_max == value
+    assert [v.tobytes() for v in res.optimizer.vectors] == [v.tobytes() for v in vectors]
+    assert res.restarts_used == restarts
+    assert res.converged == converged
+
+
+@pytest.mark.parametrize("name, obs", _cached_path_cases())
+def test_cached_multistart_gives_the_uncached_results_bit_for_bit(name, obs):
+    for seed in (11, 4):
+        _assert_same_result(mp.spi_lambda_max(obs, seed), _uncached_search(obs, seed))
+
+
+def test_k_separable_search_is_the_uncached_blocked_search():
+    ghz = mp.ObservableSum.from_pauli_strings([(1.0, w) for w in GHZ_WORDS])
+    res = mp.k_separable_lambda_max(ghz, [[0, 1], [2]])
+    _assert_same_result(res, _uncached_search(ghz.blocked([[0, 1], [2]])))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3), (2, 3, 2), (4, 2)])
+def test_cached_starts_are_read_only_and_equal_a_fresh_build(dims):
+    cached = mp._sweep_starts(dims, 11)
+    fresh = mp._sweep_form(mp._starts(dims, 11))
+    assert all(np.array_equal(c, f) for c, f in zip(cached, fresh, strict=True))
+    for x in cached:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 0.0
+    # qubit sites are held as real Bloch vectors, the others as vectors
+    assert [x.shape for x in cached] == [(224, 3 if d == 2 else d) for d in dims]
+
+
+def test_searches_leave_the_cached_starts_as_they_were():
+    obs = mp.ObservableSum.from_pauli_strings([(1.0, w) for w in GHZ_WORDS])
+    first = mp.spi_lambda_max(obs)
+    before = [x.copy() for x in mp._sweep_starts(obs.dims, 11)]
+    second = mp.spi_lambda_max(obs)
+    assert first.lambda_max == second.lambda_max
+    assert [v.tobytes() for v in first.optimizer.vectors] == [
+        v.tobytes() for v in second.optimizer.vectors
+    ]
+    assert (first.restarts_used, first.converged, first.best_starts) == (
+        second.restarts_used, second.converged, second.best_starts
+    )
+    after = mp._sweep_starts(obs.dims, 11)
+    assert all(np.array_equal(b, a) for b, a in zip(before, after, strict=True))
+
+
+def test_the_multistart_cache_is_bounded():
+    obs = mp.ObservableSum.from_pauli_strings([(1.0, "ZZ"), (0.5, "XZ")])
+    bound = mp._sweep_starts.cache_info().maxsize
+    assert bound is not None
+    for seed in range(1000, 1200):
+        mp.spi_lambda_max(obs, seed)
+        assert mp._sweep_starts.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("seed", [None, -1, True, False, 1.0, "11", [1, 2], np.int64(3)])
+def test_spi_seed_must_be_a_non_negative_int(seed):
+    obs = mp.ObservableSum.from_pauli_strings([(1.0, "ZZ")])
+    mp._sweep_starts.cache_clear()
+    with pytest.raises(ValueError, match=r"seed must be a non-negative int, not "):
+        mp.spi_lambda_max(obs, seed)
+    # rejected before the cache is consulted
+    assert mp._sweep_starts.cache_info().hits + mp._sweep_starts.cache_info().misses == 0
+    assert mp.spi_lambda_max(obs, 0).lambda_max == pytest.approx(1.0, abs=1e-12)
+
+
+# -- starts that reach the best value --------------------------------------------
+
+
+@pytest.mark.parametrize("name, obs", _cached_path_cases())
+def test_best_starts_counts_the_starts_at_the_best_scaled_value(name, obs):
+    res = mp.spi_lambda_max(obs)
+    scaled = _uncached_search(obs)[4]
+    top = scaled.max()
+    assert res.best_starts == np.count_nonzero(top - scaled <= 1e-9 * max(1.0, abs(top)))
+    assert 1 <= res.best_starts <= res.restarts_used
+
+
+def test_best_starts_is_scale_free():
+    terms = [(1.0, "XXX"), (-1.0, "XYY"), (-1.0, "YXY"), (-1.0, "YYX"), (0.3, "ZZI")]
+    counts = set()
+    for scale in (2.0**-900, 2.0**-30, 1.0, 2.0**40, 2.0**900):
+        obs = mp.ObservableSum.from_pauli_strings([(scale * c, w) for c, w in terms])
+        counts.add(mp.spi_lambda_max(obs).best_starts)
+    assert len(counts) == 1
+    # ZZZ reaches 1 from every start that is a Z eigenvector product of even parity
+    zzz = mp.spi_lambda_max(mp.ObservableSum.from_pauli_strings([(1.0, "ZZZ")]))
+    assert 1 < zzz.best_starts < zzz.restarts_used
+
+
+# -- ne_multipartite ----------------------------------------------------------------
+
+
+# values of the implementation that rebuilt and converted the multistart on
+# every evaluation (commit 54b7fae); the cached path must give the same bits
+NE_PINS = [
+    (GHZ_WORDS, [1.0] * 4, "0x1.ae20980b8217cp+0", "0x1.c5154cc3989bap-1",
+     ["0x1.342e29ef8dea3p-1", "0x1.b348deebe585bp-4", "0x1.952c961b9b423p-1",
+      "-0x1.a0194d5fd5d0cp-7"]),
+    (["ZZZ"], [1.0], "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+     ["0x1.0000000000000p+0"]),
+    (["XX", "XY", "ZX"], [-0.95, 0.03, -0.96], "0x1.59e14a1e8de30p+0", "0x1.ffefac9885608p-1",
+     ["-0x1.680ca7ab809fap-1", "0x1.6bd6e4b816302p-6", "-0x1.6bd6e4b816302p-1"]),
+    (["ZII", "IZI", "ZZI"], [1.0] * 3, "0x1.0000000000000p+0", "0x1.bb67ae8584cacp+0",
+     ["0x1.279a74590331dp-1"] * 3),
+    (["XXX", "XYY", "YXY", "YYX"], [1.0, -1.0, -1.0, -1.0], "0x1.ffffffffffffcp+1",
+     "0x1.0000000000002p-1",
+     ["0x1.0000000000000p-1", "-0x1.0000000000000p-1", "-0x1.0000000000000p-1",
+      "-0x1.0000000000000p-1"]),
+    (["XZX", "YYI"], [-0.0064133, 0.4244311], "0x1.b2b7784c214a1p-2", "0x1.fff10a0a3813ap-1",
+     ["-0x1.ef144939834c2p-7", "0x1.fff10a0a3813ap-1"]),
+]
+
+
+@pytest.mark.parametrize("labels, estimates, value, lam, coefficients", NE_PINS)
+def test_ne_multipartite_values_are_unchanged_bit_for_bit(
+    labels, estimates, value, lam, coefficients
+):
+    res = mp.ne_multipartite(labels, estimates)
+    assert res.value == float.fromhex(value)
+    assert res.lambda_max == float.fromhex(lam)
+    assert res.coefficients == tuple(float.fromhex(c) for c in coefficients)
+    if labels == GHZ_WORDS:
+        assert f"{res.value:.6f}" == "1.680185"
+
+
+@pytest.mark.parametrize(
+    "estimates, label",
+    [
+        ([math.nan, 1.0], "ZZZ"),
+        ([1.0, math.inf], "XXX"),
+        ([-math.inf, 1.0], "ZZZ"),
+        ([1.0, 1.06], "XXX"),
+        ([-1.06, 0.0], "ZZZ"),
+        ([1e308, 1e308], "ZZZ"),
+        ([1.0, 10**400], "XXX"),
+    ],
+)
+def test_ne_rejects_non_finite_and_out_of_range_estimates(estimates, label):
+    with pytest.raises(ValueError, match=rf"estimate of {label} must be finite and within"):
+        mp.ne_multipartite(["ZZZ", "XXX"], estimates)
+
+
+def test_ne_rejects_huge_estimates_on_three_terms_without_a_warning():
+    # this once overflowed and returned 1.79e308 with "entangled"
+    with pytest.raises(ValueError, match="estimate of ZZZ"):
+        mp.ne_multipartite(["ZZZ", "XXX", "YYY"], [1e308] * 3)
+
+
+def test_ne_accepts_estimates_at_the_value_cap():
+    res = mp.ne_multipartite(["ZZZ", "XXX"], [1.05, -1.05])
+    assert math.isfinite(res.value)
