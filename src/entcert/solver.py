@@ -117,14 +117,31 @@ stack shares its split into lines, corners, complete blocks and the path's
 sub-support, and the closed forms work elementwise.  Each grid keeps its
 own mu, step count and stop, so its iterates are exactly those of solving
 it alone; a grid that has stopped keeps its place and takes zero steps.  A
-step the roundoff guard must shorten is retried grid by grid.  With one
-grid on the path (``ne_solve``, or a stack whose other grids are zero on
-the path's sub-support) the single-grid loop runs instead.  The arrays are at
-most 12 x 12, so numpy's per-call overhead sets the cost of both loops:
-on one thread of a shared 2-core x86 host, single solves through the
-stacked loop took 2.0x as long (1.17 vs 0.59 ms per solve over 600
-solves), and 19-angle sweeps through the single-grid loop 2.2-3.1x as long
-(27.8-39.3 vs 12.8 ms).
+grid whose step the roundoff guard must shorten is halved alone, while the
+others keep their stacked factor.  With one grid on the path (``ne_solve``,
+or a stack whose other grids are zero on the path's sub-support) the
+single-grid loop runs instead.  The arrays are small, so per-call overhead
+sets the cost of both loops: on one thread of a shared 2-core x86 host,
+single solves through the stacked loop took 3.6x as long (1.78 vs 0.49 ms
+per path over 600 qubit staircases), and the paths of 19-angle sweeps of
+the four families on the staircase XX,XY,YY,YZ through the single-grid loop
+2.3-3.1x as long (8.3-9.8 vs 3.1-3.6 ms).
+
+The kernels call LAPACK through numpy's own linalg gufuncs, bound once as
+``numpy.linalg._umath_linalg``: ``cholesky_lo``, ``inv``, ``solve1`` and
+``solve`` are the compiled routines that ``np.linalg.cholesky``, ``inv``
+and ``solve`` call, so every bit is theirs.  The public functions check
+shapes and types and enter an errstate on each call, which costs more than
+LAPACK does at these sizes: on a side-5 active block, on one thread, the
+public function against the gufunc took 6.2 vs 1.3 us per factorization,
+9.3 vs 3.7 us per inverse and 8.8 vs 2.5 us per solve.  That private module is the solver's one binding outside numpy's
+public API, and a test holds each kernel to the public function's bits.  A
+gufunc does not raise: where it cannot factor or solve a matrix it writes a
+NaN matrix.  A failure is read there, from one entry for a single grid
+(the last pivot of a factor, the first entry of a step) and from one entry
+per row in a stack.  Each barrier path runs inside one ``np.errstate`` that
+ignores the invalid, overflow, divide and underflow flags, as numpy's
+functions do around the same calls.
 
 The results of a stack are built together: the shared support is checked
 once, the (N, k) coefficients as one array, and one stacked SVD gives the N
@@ -133,7 +150,8 @@ The polish of all grids on the path takes its norms in one stacked SVD
 too.  A sweep hands its (N, k) array of grid values to the stacked entry
 directly, without a grid object per angle.
 
-Solver failures raise SolverError, which is not an input error.
+Solver failures raise SolverError, which is not an input error; its message
+names the stage mu the path had reached.
 """
 
 from __future__ import annotations
@@ -143,6 +161,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
 from .grids import CorrelatorGrid
 from .witness import CoefficientMatrix, NEResult, make_witness_pair, spectral_norms
@@ -180,6 +199,15 @@ class SolverOptions:
             raise ValueError("mu_factor must lie in (0, 1)")
 
 
+def _kernel_errstate() -> np.errstate:
+    """The floating-point state the Newton kernels run in.
+
+    numpy's linalg wrappers ignore these flags around the same gufuncs; a
+    factorization or solve that fails is read from its NaN output instead.
+    """
+    return np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
+
+
 class _ActiveBlock:
     """B(c) restricted to the rows and columns the support touches."""
 
@@ -202,18 +230,20 @@ class _ActiveBlock:
     def cholesky(self, c: np.ndarray) -> np.ndarray | None:
         """Cholesky factor of the active B(c), None when it is not PD.
 
-        A stack c (N, k) gets its (N, s, s) factors, None unless all are PD.
+        A stack c (N, k) gets its (N, s, s) factors, a NaN matrix for each
+        B(c) that is not PD, and None when no B(c) is.
         """
         if c.ndim == 1:
             big = self.base.copy()
             big.put(self.entries, c)
-        else:
-            big = np.repeat(self.base[None], len(c), axis=0)
-            big.reshape(len(c), -1)[:, self.entries] = np.concatenate([c, c], axis=1)
-        try:
-            return np.linalg.cholesky(big)
-        except np.linalg.LinAlgError:
-            return None
+            chol = _lapack.cholesky_lo(big)
+            # a failed factorization is all NaN; a finished one has a
+            # positive last pivot
+            return None if math.isnan(chol[-1, -1]) else chol
+        big = np.repeat(self.base[None], len(c), axis=0)
+        big.reshape(len(c), -1)[:, self.entries] = np.concatenate([c, c], axis=1)
+        chol = _lapack.cholesky_lo(big)
+        return None if np.isnan(chol[:, -1, -1]).all() else chol
 
 
 def _derivatives(
@@ -224,7 +254,7 @@ def _derivatives(
     The stage objective f(c) = -<v, c> - mu log det B(c) has gradient
     -2 mu g, with g = v / (2 mu) + that diagonal, and Hessian 2 mu H.
     """
-    half = np.linalg.inv(chol).take(block.picks, axis=-1)
+    half = _lapack.inv(chol).take(block.picks, axis=-1)
     sel = half.swapaxes(-1, -2) @ half
     mixed = sel[..., :k, k:]
     hess = sel[..., :k, :k] * sel[..., k:, k:] + mixed * mixed.swapaxes(-1, -2)
@@ -235,48 +265,57 @@ def _newton_step(hess: np.ndarray, g: np.ndarray) -> tuple[np.ndarray | None, fl
     """Newton step H^-1 g and the squared decrement of f / mu.
 
     Takes one H (k, k) and g (k,), or a stack (N, k, k) and (N, k).  A
-    singular H gives no step (step 0 in a stack) and decrement 0.
+    singular H gives no step (step 0 in a stack) and decrement 0: near a
+    degenerate optimal face H spans ~1/mu to ~mu and roundoff leaves it
+    singular, so the iterate is as centered as working precision allows.
+    The solve of a singular H writes NaN.
     """
     if g.ndim == 2:
-        try:
-            step = np.linalg.solve(hess, g[:, :, None])
-        except np.linalg.LinAlgError:
-            rows = [_newton_step(h, grad) for h, grad in zip(hess, g)]
-            zero = np.zeros(g.shape[1])
-            step = np.array([zero if one is None else one for one, _ in rows])
-            return step, np.array([lambda_sq for _, lambda_sq in rows])
-        return step[:, :, 0], 2.0 * (g[:, None, :] @ step)[:, 0, 0]
-    try:
-        step = np.linalg.solve(hess, g)
-    except np.linalg.LinAlgError:
-        # near a degenerate optimal face H spans ~1/mu to ~mu and roundoff
-        # leaves it singular: the iterate is as centered as working
-        # precision allows
+        step = _lapack.solve(hess, g[:, :, None])
+        lambda_sq = 2.0 * (g[:, None, :] @ step)[:, 0, 0]
+        singular = np.isnan(step[:, 0, 0])
+        if singular.any():
+            step[singular] = lambda_sq[singular] = 0.0
+        return step[:, :, 0], lambda_sq
+    step = _lapack.solve1(hess, g)
+    if math.isnan(step[0]):
         return None, 0.0
     return step, 2.0 * float(g @ step)
 
 
 def _guarded_step(
-    block: _ActiveBlock, c: np.ndarray, step: np.ndarray, alpha: float | np.ndarray
+    block: _ActiveBlock,
+    c: np.ndarray,
+    step: np.ndarray,
+    alpha: float | np.ndarray,
+    mu: float | np.ndarray,
+    steps: int | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The step from c, halved while roundoff leaves B(c) not PD.
 
-    A stack (c and step of shape (N, k), alpha of shape (N,)) tries every
-    row's step at once; when some B(c) is not PD, each row is guarded alone.
+    A stack (c and step of shape (N, k), alpha, mu and steps of shape (N,))
+    tries every row's step at once; each row whose B(c) is not PD is then
+    guarded alone, and the others keep their stacked factor.  ``mu`` and
+    ``steps`` name the stage in the error of a stalled line search.
     """
     if c.ndim == 2:
         trial = c + alpha[:, None] * step
         chol = block.cholesky(trial)
-        if chol is not None:
-            return trial, chol
-        moved = [_guarded_step(block, *row) for row in zip(c, step, alpha.tolist())]
-        return np.array([row for row, _ in moved]), np.array([f for _, f in moved])
+        if chol is None:
+            chol = np.full((len(c),) + block.base.shape, np.nan)
+        for row in np.flatnonzero(np.isnan(chol[:, -1, -1])):
+            trial[row], chol[row] = _guarded_step(
+                block, c[row], step[row], float(alpha[row]), float(mu[row]), steps[row]
+            )
+        return trial, chol
     trial = c + alpha * step
     chol = block.cholesky(trial)
     while chol is None:
         alpha *= _BACKTRACK
         if alpha < 1e-14:
-            raise SolverError("line search stalled")
+            raise SolverError(
+                f"line search stalled at stage mu={mu:.3g} (Newton step {steps})"
+            )
         trial = c + alpha * step
         chol = block.cholesky(trial)
     return trial, chol
@@ -299,30 +338,34 @@ def _maximize(
     k = len(support)
     block = _ActiveBlock(support, t)
     c = np.zeros(k)
-    chol = block.cholesky(c)
     mu = 1.0
     steps = 0
-
-    while True:
-        # H does not depend on mu: when the iterate is centered, mu shrinks
-        # and only g is formed anew
-        hess, diag = _derivatives(block, chol, k)
+    with _kernel_errstate():
+        chol = block.cholesky(c)
         while True:
-            g = v * (0.5 / mu) + diag
-            step, lambda_sq = _newton_step(hess, g)
-            last = nu * mu <= 0.5 * opts.tol
-            if lambda_sq > (_CENTERED_DECREMENT if last else _STAGE_DECREMENT):
-                break
-            if last:
-                return c, steps, nu * mu
-            mu *= opts.mu_factor
-        steps += 1
-        if steps > opts.max_iter:
-            raise SolverError("interior-point iteration limit exceeded")
-        # feasible by construction (alpha * lambda < 1); halving guards roundoff
-        lam = math.sqrt(lambda_sq)
-        alpha = 1.0 if lam <= _QUADRATIC_PHASE else 1.0 / (1.0 + lam)
-        c, chol = _guarded_step(block, c, step, alpha)
+            # H does not depend on mu: when the iterate is centered, mu
+            # shrinks and only g is formed anew
+            hess, diag = _derivatives(block, chol, k)
+            while True:
+                g = v * (0.5 / mu) + diag
+                step, lambda_sq = _newton_step(hess, g)
+                last = nu * mu <= 0.5 * opts.tol
+                if lambda_sq > (_CENTERED_DECREMENT if last else _STAGE_DECREMENT):
+                    break
+                if last:
+                    return c, steps, nu * mu
+                mu *= opts.mu_factor
+            steps += 1
+            if steps > opts.max_iter:
+                raise SolverError(
+                    "interior-point iteration limit exceeded at stage"
+                    f" mu={mu:.3g} (max_iter={opts.max_iter})"
+                )
+            # feasible by construction (alpha * lambda < 1); halving guards
+            # roundoff
+            lam = math.sqrt(lambda_sq)
+            alpha = 1.0 if lam <= _QUADRATIC_PHASE else 1.0 / (1.0 + lam)
+            c, chol = _guarded_step(block, c, step, alpha, mu, steps)
 
 
 def _maximize_stack(
@@ -341,7 +384,6 @@ def _maximize_stack(
     count, k = v.shape
     block = _ActiveBlock(support, t)
     c = np.zeros((count, k))
-    chol = block.cholesky(c)
     mu = np.ones(count)
     steps = np.zeros(count, dtype=int)
     # a stopped row keeps its iterate: it takes step 0 with decrement 0
@@ -349,30 +391,35 @@ def _maximize_stack(
     step = np.empty((count, k))
     lambda_sq = np.empty(count)
 
-    while True:
-        hess, diag = _derivatives(block, chol, k)
-        rows = np.flatnonzero(~done)
-        while rows.size:
-            # a row centered for its mu stops on its last stage, or else
-            # shrinks mu and forms g again, as the scalar loop does
-            g = v[rows] * (0.5 / mu[rows])[:, None] + diag[rows]
-            step[rows], lambda_sq[rows] = _newton_step(hess[rows], g)
-            last = nu * mu[rows] <= 0.5 * opts.tol
-            bound = np.where(last, _CENTERED_DECREMENT, _STAGE_DECREMENT)
-            centered = lambda_sq[rows] <= bound
-            stopped = rows[centered & last]
-            done[stopped] = True
-            step[stopped] = lambda_sq[stopped] = 0.0
-            rows = rows[centered & ~last]
-            mu[rows] *= opts.mu_factor
-        if done.all():
-            return c, steps, nu * mu
-        steps += ~done
-        if steps.max() > opts.max_iter:
-            raise SolverError("interior-point iteration limit exceeded")
-        lam = np.sqrt(lambda_sq)
-        alpha = np.where(lam <= _QUADRATIC_PHASE, 1.0, 1.0 / (1.0 + lam))
-        c, chol = _guarded_step(block, c, step, alpha)
+    with _kernel_errstate():
+        chol = block.cholesky(c)
+        while True:
+            hess, diag = _derivatives(block, chol, k)
+            rows = np.flatnonzero(~done)
+            while rows.size:
+                # a row centered for its mu stops on its last stage, or else
+                # shrinks mu and forms g again, as the scalar loop does
+                g = v[rows] * (0.5 / mu[rows])[:, None] + diag[rows]
+                step[rows], lambda_sq[rows] = _newton_step(hess[rows], g)
+                last = nu * mu[rows] <= 0.5 * opts.tol
+                bound = np.where(last, _CENTERED_DECREMENT, _STAGE_DECREMENT)
+                centered = lambda_sq[rows] <= bound
+                stopped = rows[centered & last]
+                done[stopped] = True
+                step[stopped] = lambda_sq[stopped] = 0.0
+                rows = rows[centered & ~last]
+                mu[rows] *= opts.mu_factor
+            if done.all():
+                return c, steps, nu * mu
+            steps += ~done
+            if steps.max() > opts.max_iter:
+                raise SolverError(
+                    "interior-point iteration limit exceeded at stage"
+                    f" mu={mu[steps.argmax()]:.3g} (max_iter={opts.max_iter})"
+                )
+            lam = np.sqrt(lambda_sq)
+            alpha = np.where(lam <= _QUADRATIC_PHASE, 1.0, 1.0 / (1.0 + lam))
+            c, chol = _guarded_step(block, c, step, alpha, mu, steps)
 
 
 def _components(

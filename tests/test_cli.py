@@ -433,7 +433,10 @@ def test_solver_failure_has_its_own_exit_code(capsys, tmp_path):
         rc, out, err = _run(capsys, argv)
         assert rc == 3
         assert out == ""
-        assert err == "error: solver failure: interior-point iteration limit exceeded\n"
+        assert err == (
+            "error: solver failure: interior-point iteration limit exceeded"
+            " at stage mu=0.2 (max_iter=1)\n"
+        )
 
 
 def test_data_below_roundoff_are_undetected_not_a_crash(capsys):
