@@ -10,11 +10,14 @@ Index conventions:
       X, Y, Z.
     * A grid key, or cell, is the pair (row index, column index) = (first
       party, second party).
-    * A support is an iterable of cells.  ``MeasurementSet`` is the
-      validated qubit support, parsed from labels such as 'XX,ZZ'; it
-      stores cells too.  ``parse_qubit_label`` is the one place a Pauli
-      label becomes a cell, and ``pair_label`` the one place a cell
-      becomes a label.
+    * A support is an iterable of cells, read by ``read_support`` alone, as
+      local dimensions are by ``read_dims``: an index is an int, or what
+      ``operator.index`` takes, but not a bool; a cell lies inside the basis
+      range and appears once; a support is not empty.  Anything else is a
+      ValueError.  ``MeasurementSet`` is the qubit support, parsed from
+      labels such as 'XX,ZZ'.  ``parse_qubit_label`` is the one place a
+      Pauli label becomes a cell, and ``pair_label`` the one place a cell
+      becomes a label, the only form a JSON key or CSV field may take.
 
 Serialization is canonical: equal grids produce byte-identical output.
 
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -51,7 +55,7 @@ VALUE_CAP = 1.05
 
 FORMATS = ("json", "csv")
 
-_DIMS_LINE = re.compile(r"^#\s*dims=(\d+),(\d+)$")
+_DIMS_LINE = re.compile(r"^#\s*dims=([1-9][0-9]*),([1-9][0-9]*)$")
 
 
 def render_float(value: float) -> str:
@@ -71,12 +75,51 @@ def pair_label(dims: tuple[int, int], pair: tuple[int, int]) -> str:
     return f"{pair[0]},{pair[1]}"
 
 
+def _int_pair(pair: object) -> tuple[int, int]:
+    """``pair`` as two ints, else ValueError; a bool, float or string is no index."""
+    try:
+        i, j = pair
+        if bool not in (type(i), type(j)):
+            return (operator.index(i), operator.index(j))
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"index pair {pair!r} is not a pair of integers")
+
+
+def read_dims(dims: object) -> tuple[int, int]:
+    """Local dimensions (dA, dB): two integers >= 2, else ValueError."""
+    try:
+        da, db = _int_pair(dims)
+    except ValueError:
+        da = db = 0
+    if da < 2 or db < 2:
+        raise ValueError(f"local dimensions must be two integers >= 2, got {dims!r}")
+    return (da, db)
+
+
+def read_support(dims: tuple[int, int], cells: Iterable) -> tuple[tuple[int, int], ...]:
+    """``cells`` as distinct (int, int) cells inside the basis range of
+    ``dims``, in the given order, at least one; else ValueError."""
+    ra, rb = dims[0] * dims[0] - 1, dims[1] * dims[1] - 1
+    support: dict[tuple[int, int], None] = {}
+    for cell in cells:
+        i, j = cell = _int_pair(cell)
+        if not (0 <= i < ra and 0 <= j < rb):
+            raise ValueError(f"index pair {cell} outside basis range")
+        if cell in support:
+            raise ValueError(f"duplicate support entry {cell}")
+        support[cell] = None
+    if not support:
+        raise ValueError("empty support")
+    return tuple(support)
+
+
 @dataclass(frozen=True)
 class MeasurementSet:
     """An ordered collection of distinct two-qubit correlator cells.
 
     ``cells`` holds (first-party, second-party) basis-index pairs such as
-    (0, 2) for XZ, in the order given; between one and nine are allowed.
+    (0, 2) for XZ, in the order given, as ``read_support`` reads them.
     Iterating a set yields its cells, so it can be passed wherever the
     analysis modules take an iterable of cells.
     """
@@ -84,17 +127,7 @@ class MeasurementSet:
     cells: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        cells = tuple((int(i), int(j)) for i, j in self.cells)
-        if not 1 <= len(cells) <= 9:
-            raise ValueError("a measurement set holds between 1 and 9 pairs")
-        seen = set()
-        for cell in cells:
-            if not (0 <= cell[0] < 3 and 0 <= cell[1] < 3):
-                raise ValueError(f"cell {cell} outside the qubit basis range")
-            if cell in seen:
-                raise ValueError(f"duplicate pair {pair_label((2, 2), cell)!r}")
-            seen.add(cell)
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cells", read_support((2, 2), self.cells))
 
     @classmethod
     def parse(cls, text: str) -> "MeasurementSet":
@@ -131,14 +164,12 @@ class CorrelatorGrid:
     values: Mapping[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        da, db = self.dims
-        if da < 2 or db < 2:
-            raise ValueError(f"local dimensions must be >= 2, got {self.dims}")
+        dims = read_dims(self.dims)
         if not self.values:
             raise ValueError("no measured entries")
-        cells = [(int(i), int(j)) for i, j in self.values]
-        values = _float_values(self.dims, cells, self.values.values())
-        check_correlators(self.dims, cells, values)
+        cells, values = _read_entries(dims, self.values)
+        check_correlators(dims, cells, values)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "values", dict(zip(cells, values)))
 
     @classmethod
@@ -167,10 +198,15 @@ class CorrelatorGrid:
         return tuple(sorted(self.values.keys()))
 
     def value_at(self, pair: tuple[int, int]) -> float:
-        key = (int(pair[0]), int(pair[1]))
-        if key not in self.values:
-            raise ValueError(f"missing correlator {pair_label(self.dims, key)}")
-        return self.values[key]
+        """The value at the measured cell equal to ``pair``, else read and named."""
+        try:
+            return self.values[pair]
+        except (KeyError, TypeError):
+            pass
+        (cell,) = read_support(self.dims, [pair])
+        if cell not in self.values:
+            raise ValueError(f"missing correlator {pair_label(self.dims, cell)}")
+        return self.values[cell]
 
     def matrix(self) -> np.ndarray:
         """Dense data matrix with zeros at unmeasured entries."""
@@ -184,13 +220,7 @@ class CorrelatorGrid:
     @classmethod
     def from_labels(cls, correlators: Mapping[str, float]) -> "CorrelatorGrid":
         """Build a two-qubit grid from Pauli labels, e.g. {'XX': -0.95}."""
-        values: dict[tuple[int, int], float] = {}
-        for label, v in correlators.items():
-            key = parse_qubit_label(label)
-            if key in values:
-                raise ValueError(f"duplicate key {label!r}")
-            values[key] = v
-        return cls((2, 2), values)
+        return cls((2, 2), {parse_qubit_label(k): v for k, v in correlators.items()})
 
 
 def check_correlators(
@@ -229,22 +259,22 @@ def check_correlators(
     )
 
 
-def _float_values(
-    dims: tuple[int, int], cells: Sequence[tuple[int, int]], raw: Iterable
-) -> list[float]:
-    """``raw`` as floats.  An entry that does not convert fails only after
-    the entries before it, and its own cell, have passed their checks."""
-    out: list[float] = []
+def _read_entries(dims: tuple[int, int], entries: Mapping) -> tuple[list, list[float]]:
+    """The cells and float values of ``entries``.  An entry that does not read fails
+    only after the entries before it, and its cell if that read, pass their checks."""
+    cells: list[tuple[int, int]] = []
+    values: list[float] = []
     try:
-        for value in raw:
-            out.append(float(value))
+        for cell, value in entries.items():
+            cells.append(_int_pair(cell))
+            values.append(float(value))
     except (TypeError, ValueError, OverflowError) as err:
-        k = len(out)
-        check_correlators(dims, cells[: k + 1], out + [0.0])
+        if cells:
+            check_correlators(dims, cells, values + [0.0] * (len(cells) - len(values)))
         if isinstance(err, OverflowError):
-            raise ValueError(f"correlator {pair_label(dims, cells[k])} is too large") from None
+            raise ValueError(f"correlator {pair_label(dims, cells[-1])} is too large") from None
         raise
-    return out
+    return cells, values
 
 
 def parse_qubit_label(label: str) -> tuple[int, int]:
@@ -254,16 +284,15 @@ def parse_qubit_label(label: str) -> tuple[int, int]:
     return (_AXIS_INDEX[label[0]], _AXIS_INDEX[label[1]])
 
 
-def _parse_key(key: str, dims: tuple[int, int]) -> tuple[int, int]:
-    if dims == (2, 2):
-        return parse_qubit_label(key)
-    parts = key.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"malformed index key {key!r}")
-    try:
-        return (int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise ValueError(f"malformed index key {key!r}") from None
+def _index_key(key: str) -> tuple[int, int]:
+    """The cell of a key 'i,j', read only in the form ``pair_label`` writes:
+    ASCII digits with no sign, space, '_' or leading zero."""
+    a, _, b = key.partition(",")
+    if key.isascii() and a.isdigit() and b.isdigit() and (
+        (a == "0" or a[0] != "0") and (b == "0" or b[0] != "0")
+    ):
+        return (int(a), int(b))
+    raise ValueError(f"malformed index key {key!r}")
 
 
 # -- parsing ----------------------------------------------------------------
@@ -296,26 +325,15 @@ def _parse_json(text: str) -> CorrelatorGrid:
         raise ValueError(f"malformed JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("malformed document: expected a JSON object")
-    dims_raw = doc.get("dims")
-    if (
-        not isinstance(dims_raw, list)
-        or len(dims_raw) != 2
-        or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims_raw)
-    ):
-        raise ValueError('malformed document: "dims" must be two integers')
-    dims = (dims_raw[0], dims_raw[1])
+    dims = read_dims(doc.get("dims"))
     correlators = doc.get("correlators")
     if not isinstance(correlators, dict):
         raise ValueError('malformed document: "correlators" must be an object')
-    if not correlators:
-        raise ValueError("no measured entries")
     values: dict[tuple[int, int], float] = {}
     for key, raw in correlators.items():
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ValueError(f"correlator {key!r} is not a number")
-        pair = _parse_key(key, dims)
-        if pair in values:
-            raise ValueError(f"duplicate key {key!r}")
+        pair = parse_qubit_label(key) if dims == (2, 2) else _index_key(key)
         # the grid converts, and rejects an integer beyond the float range
         values[pair] = raw
     return CorrelatorGrid(dims, values)
@@ -346,13 +364,7 @@ def _parse_csv(text: str) -> CorrelatorGrid:
             v = float(raw)
         except ValueError:
             raise ValueError(f"correlator {a + ',' + b!r} is not a number") from None
-        if qubit_labels:
-            pair = parse_qubit_label(a + b)
-        else:
-            try:
-                pair = (int(a), int(b))
-            except ValueError:
-                raise ValueError(f"unknown Pauli label {a + b!r}") from None
+        pair = parse_qubit_label(a + b) if qubit_labels else _index_key(f"{a},{b}")
         if pair in values:
             raise ValueError(f"duplicate key {a + b!r}")
         values[pair] = v
@@ -391,12 +403,11 @@ def emit_grid(grid: CorrelatorGrid, format: str = "json") -> bytes:
         lines = ["a,b,value"]
         if grid.dims != (2, 2):
             lines.insert(0, f"# dims={grid.dims[0]},{grid.dims[1]}")
-        for i, j in grid.measured:
+        for pair in grid.measured:
+            label = pair_label(grid.dims, pair)
             if grid.dims == (2, 2):
-                a, b = AXES[i], AXES[j]
-            else:
-                a, b = str(i), str(j)
-            lines.append(f"{a},{b},{render_float(grid.values[(i, j)])}")
+                label = f"{label[0]},{label[1]}"
+            lines.append(f"{label},{render_float(grid.values[pair])}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {format!r}")
 
@@ -411,5 +422,5 @@ def restrict(grid: CorrelatorGrid, subset: Iterable[tuple[int, int]]) -> Correla
     Every requested pair must be measured in ``grid``; a missing pair is an
     error naming the offending correlator.  Restriction is idempotent.
     """
-    values = {(int(i), int(j)): grid.value_at((i, j)) for i, j in subset}
-    return CorrelatorGrid(grid.dims, values)
+    support = read_support(grid.dims, subset)
+    return CorrelatorGrid(grid.dims, {cell: grid.value_at(cell) for cell in support})

@@ -158,8 +158,8 @@ def classify(cells: Iterable[tuple[int, int]]) -> PatternClass:
     form).  Ties between witnessing permutation pairs are broken by the
     lexicographically smallest pair, preferring the untransposed embedding.
     """
-    mset = MeasurementSet(tuple(sorted(cells)))
-    cells = mset.cells
+    cells = tuple(sorted(MeasurementSet(cells)))
+    mset = MeasurementSet(cells)
     if len(cells) > 3:
         return PatternClass(TAG_GENERAL, mset, (0, 1, 2), (0, 1, 2), False)
     tag, canonical, transposed = _tag_cells(cells)
@@ -180,7 +180,7 @@ def ne_closed_form(cells: Iterable[tuple[int, int]], g: CorrelatorGrid) -> NERes
     """
     if g.dims != (2, 2):
         raise ValueError("closed forms apply to qubit grids only")
-    cells = tuple(sorted(cells))
+    cells = tuple(cells)
     pattern = classify(cells)
     if pattern.tag == TAG_GENERAL:
         raise ValueError("no closed form for this pattern; use the general solver")

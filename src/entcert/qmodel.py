@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grids import AXES, CorrelatorGrid, check_correlators
+from .grids import AXES, CorrelatorGrid, check_correlators, read_dims
 
 Array = np.ndarray
 
@@ -427,9 +427,7 @@ def sample_separable(
     integral = isinstance(terms, (int, np.integer)) and not isinstance(terms, bool)
     if not integral or terms < 1:
         raise ValueError(f"terms must be a positive int, got {terms!r}")
-    db = d if d_b is None else d_b
-    if d < 2 or db < 2:
-        raise ValueError("dimension must be >= 2")
+    d, db = read_dims((d, d if d_b is None else d_b))
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(terms))
     parts = rng.normal(size=(terms, 2 * (d + db)))

@@ -163,7 +163,7 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg as _lapack
 
-from .grids import CorrelatorGrid
+from .grids import CorrelatorGrid, read_support
 from .witness import CoefficientMatrix, NEResult, make_witness_pair, spectral_norms
 
 _BACKTRACK = 0.5
@@ -182,7 +182,7 @@ class SolverOptions:
     """Interior-point tuning knobs.
 
     tol        target accuracy of the optimum (duality-gap driven).
-    max_iter   cap on Newton steps.
+    max_iter   cap on Newton steps, an int >= 1.
     mu_factor  geometric shrink of the barrier weight per outer stage.
     """
 
@@ -193,8 +193,8 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        if type(self.max_iter) is not int or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
         if not (0.0 < self.mu_factor < 1.0):
             raise ValueError("mu_factor must lie in (0, 1)")
 
@@ -312,7 +312,8 @@ def _guarded_step(
     chol = block.cholesky(trial)
     while chol is None:
         alpha *= _BACKTRACK
-        if alpha < 1e-14:
+        # written so that a NaN step length stops too
+        if not alpha >= 1e-14:
             raise SolverError(
                 f"line search stalled at stage mu={mu:.3g} (Newton step {steps})"
             )
@@ -568,7 +569,7 @@ def ne_solve_batch(
             raise ValueError("stacked grids must share their support")
         support = supports.pop()
     else:
-        support = tuple(sorted((int(i), int(j)) for i, j in measurements))
+        support = tuple(sorted(read_support(dims, measurements)))
     values = np.array([[g.value_at(cell) for cell in support] for g in grids])
     return _ne_solve_stack(dims, support, values, options)
 
@@ -679,10 +680,11 @@ def ne_monotone_report(
     if not chain:
         raise ValueError("empty measurement chain")
     sets = tuple(chain)
-    for prev, nxt in zip(sets, sets[1:]):
+    supports = [read_support(g.dims, s) for s in sets]
+    for prev, nxt in zip(supports, supports[1:]):
         if not set(prev) <= set(nxt):
             raise ValueError("measurement sets must be nested")
-    results = tuple(ne_solve(g, s, options) for s in sets)
+    results = tuple(ne_solve(g, s, options) for s in supports)
     monotone = all(
         later.value >= earlier.value - _MONOTONE_SLACK
         for earlier, later in zip(results, results[1:])

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import qmodel
-from .grids import CorrelatorGrid, pair_label, parse_qubit_label
+from .grids import CorrelatorGrid, pair_label, parse_qubit_label, read_dims, read_support
 
 Array = np.ndarray
 
@@ -50,10 +50,11 @@ class CoefficientMatrix:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        support = _checked_support(self.dims, self.support, len(self.coeffs))
+        dims, support = _checked_support(self.dims, self.support, len(self.coeffs))
         coeffs = tuple(float(c) for c in self.coeffs)
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("coefficients must be finite")
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -70,7 +71,7 @@ class CoefficientMatrix:
         the constructor's messages.  All N spectral norms come from one
         stacked SVD, each the single matrix's to the bit, and are cached.
         """
-        support = _checked_support(dims, support, coeffs.shape[1])
+        dims, support = _checked_support(dims, support, coeffs.shape[1])
         if not np.isfinite(coeffs).all():
             raise ValueError("coefficients must be finite")
         matrices = []
@@ -121,25 +122,13 @@ class CoefficientMatrix:
 
 def _checked_support(
     dims: tuple[int, int], support: tuple, count: int
-) -> tuple[tuple[int, int], ...]:
-    """``support`` as int pairs, checked against ``dims`` and ``count`` coefficients."""
-    da, db = dims
-    if da < 2 or db < 2:
-        raise ValueError(f"local dimensions must be >= 2, got {dims}")
+) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """``dims`` and ``support`` as ``grids`` reads them, for ``count`` coefficients."""
+    dims = read_dims(dims)
+    support = read_support(dims, support)
     if len(support) != count:
         raise ValueError("support and coefficients differ in length")
-    if not support:
-        raise ValueError("empty support")
-    ra, rb = da * da - 1, db * db - 1
-    seen = set()
-    cells = tuple((int(i), int(j)) for i, j in support)
-    for i, j in cells:
-        if not (0 <= i < ra and 0 <= j < rb):
-            raise ValueError(f"index pair ({i}, {j}) outside basis range")
-        if (i, j) in seen:
-            raise ValueError(f"duplicate support entry ({i}, {j})")
-        seen.add((i, j))
-    return cells
+    return dims, support
 
 
 def spectral_norms(

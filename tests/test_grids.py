@@ -1,12 +1,14 @@
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entcert import patterns, solver
+from entcert import patterns, qmodel, solver
 from entcert.grids import (
     AXES,
     CorrelatorGrid,
@@ -17,6 +19,7 @@ from entcert.grids import (
     render_float,
     restrict,
 )
+from entcert.witness import CoefficientMatrix
 
 MAIN_EXAMPLE = b'{"dims":[2,2],"correlators":{"XX":-0.95,"XY":0.03,"ZX":-0.96}}'
 
@@ -38,7 +41,7 @@ def test_parse_rejects_empty_correlator_map():
 def test_parse_rejects_malformed_document():
     with pytest.raises(ValueError, match="malformed"):
         parse_grid(b"{not json")
-    with pytest.raises(ValueError, match="dims"):
+    with pytest.raises(ValueError, match=r"local dimensions must be two integers >= 2, got \[2\]"):
         parse_grid(b'{"dims":[2],"correlators":{"XX":1}}')
     with pytest.raises(ValueError, match="not a number"):
         parse_grid(b'{"dims":[2,2],"correlators":{"XX":"big"}}')
@@ -241,6 +244,120 @@ def test_support_entry_points_take_any_iterable_of_cells(name):
     mset = MeasurementSet.parse("ZX,XY,YY")
     cells = list(mset.cells)
     assert entry(mset) == entry(cells) == entry(cells[::-1])
+
+
+# every reader of a support: the entry points above, and the constructors
+_SUPPORT_READERS = {
+    **_ENTRY_POINTS,
+    "MeasurementSet": lambda s: MeasurementSet(tuple(s)),
+    "CoefficientMatrix": lambda s: CoefficientMatrix((2, 2), tuple(s), (1.0,) * len(s)),
+    "CoefficientMatrix.stack": lambda s: CoefficientMatrix.stack(
+        (2, 2), tuple(s), np.ones((2, len(s)))
+    ),
+}
+# a grid takes its cells as mapping keys and value_at one cell at a time, so
+# neither can be handed a repeated or empty support; value_at finds a key
+# equal to a measured cell, as a dict does, and reads any other
+_GRID = {"CorrelatorGrid": lambda s: CorrelatorGrid((2, 2), dict.fromkeys(s, 0.5))}
+_VALUE_AT = {"value_at": lambda s: [_FULL.value_at(cell) for cell in s]}
+
+_NOT_A_PAIR = "index pair {} is not a pair of integers"
+_OUTSIDE = "index pair {} outside basis range"
+_ALL = {**_SUPPORT_READERS, **_GRID, **_VALUE_AT}
+# (support, message, readers); the offending cell comes last
+_MALFORMED = {
+    # cells equal to no measured cell reach every reader
+    "float": ([(0, 0), (0.5, 0)], _NOT_A_PAIR.format((0.5, 0)), _ALL),
+    "float after a valid cell": ([(1, 1), (0.7, 0)], _NOT_A_PAIR.format((0.7, 0)), _ALL),
+    "string index": ([(0, 0), ("1", 0)], _NOT_A_PAIR.format(("1", 0)), _ALL),
+    "label as a cell": ([(0, 0), "XY"], _NOT_A_PAIR.format("'XY'"), _ALL),
+    "three indices": ([(0, 0, 0)], _NOT_A_PAIR.format((0, 0, 0)), _ALL),
+    "past the basis": ([(0, 0), (5, 5)], _OUTSIDE.format((5, 5)), _ALL),
+    "negative": ([(-1, 0)], _OUTSIDE.format((-1, 0)), _ALL),
+    "one side past": ([(0, 3)], _OUTSIDE.format((0, 3)), _ALL),
+    # cells equal to a measured cell
+    "integral float": ([(0.0, 0)], _NOT_A_PAIR.format((0.0, 0)), {**_SUPPORT_READERS, **_GRID}),
+    "bool": ([(1, 1), (True, 0)], _NOT_A_PAIR.format((True, 0)), {**_SUPPORT_READERS, **_GRID}),
+    # whole supports
+    "repeated cell": ([(0, 0), (1, 2), (1, 2)], "duplicate support entry (1, 2)", _SUPPORT_READERS),
+    "empty": ([], "empty support", _SUPPORT_READERS),
+}
+
+
+@pytest.mark.parametrize(
+    "case, reader",
+    [(case, reader) for case, (_, _, readers) in _MALFORMED.items() for reader in sorted(readers)],
+)
+def test_every_reader_rejects_a_malformed_support_alike(case, reader):
+    support, message, readers = _MALFORMED[case]
+    with pytest.raises(ValueError) as caught:
+        readers[reader](support)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+
+
+def test_a_float_key_is_not_folded_into_an_int_key():
+    # the dict keeps the first of two equal keys, (0.0, 0), and the grid
+    # rejects it rather than keep one of the two values
+    with pytest.raises(ValueError, match=re.escape(_NOT_A_PAIR.format((0.0, 0)))):
+        CorrelatorGrid((2, 2), {(0.0, 0): 1.0, (0, 0): 0.5})
+    # a cell given as a list is read, and names the cell it reads to
+    assert _FULL.value_at([0, 0]) == _FULL.value_at((0, 0))
+    with pytest.raises(ValueError, match="missing correlator ZZ"):
+        CorrelatorGrid.from_labels({"XX": 0.5}).value_at([2, 2])
+
+
+_DIMS = "local dimensions must be two integers >= 2, got {}"
+
+
+@pytest.mark.parametrize("dims", [(2.5, 2), (2, 2.0), (True, 2), (1, 2), (2,), (2, 2, 2), "22", None])
+def test_every_reader_rejects_malformed_dimensions_alike(dims):
+    message = re.escape(_DIMS.format(repr(dims)))
+    with pytest.raises(ValueError, match=message):
+        CorrelatorGrid(dims, {(0, 0): 0.5})
+    with pytest.raises(ValueError, match=message):
+        CoefficientMatrix(dims, ((0, 0),), (1.0,))
+    with pytest.raises(ValueError, match=message):
+        CoefficientMatrix.stack(dims, ((0, 0),), np.ones((2, 1)))
+    if isinstance(dims, tuple) and len(dims) == 2:
+        with pytest.raises(ValueError, match=message):
+            qmodel.sample_separable(dims[0], 1, 0, d_b=dims[1])
+    doc = json.dumps({"dims": dims, "correlators": {"0,0": 0.5}})
+    with pytest.raises(ValueError, match=re.escape(_DIMS.format(repr(json.loads(doc)["dims"])))):
+        parse_grid(doc.encode())
+
+
+def test_sample_separable_reads_its_dimensions():
+    with pytest.raises(ValueError, match=re.escape(_DIMS.format((2.5, 2.5)))):
+        qmodel.sample_separable(2.5, 1, 0)
+    assert qmodel.sample_separable(np.int64(2), 1, 0).dims == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "a, b", [("1_0", "0"), ("+1", "0"), ("\u0661", "0"), ("01", "0"), ("1", "00"), ("0", "-0"), ("1", "")]
+)
+def test_index_keys_are_read_only_as_pair_label_writes_them(a, b):
+    key = f"{a},{b}"
+    message = re.escape(f"malformed index key {key!r}")
+    with pytest.raises(ValueError, match=message):
+        parse_grid(json.dumps({"dims": [4, 4], "correlators": {key: 0.5}}).encode())
+    with pytest.raises(ValueError, match=message):
+        parse_grid(f"# dims=4,4\na,b,value\n{key},0.5\n".encode(), format="csv")
+
+
+def test_index_keys_in_the_written_form_read():
+    g = parse_grid(b'{"dims":[4,4],"correlators":{"10,0":0.5,"0,14":0.25}}')
+    assert g.values == {(10, 0): 0.5, (0, 14): 0.25}
+    # spaces around a JSON key are no part of the form
+    for key in (" 1,0", "1,0 ", "1, 0"):
+        with pytest.raises(ValueError, match=re.escape(f"malformed index key {key!r}")):
+            parse_grid(json.dumps({"dims": [4, 4], "correlators": {key: 0.5}}).encode())
+
+
+def test_a_csv_dims_line_is_read_only_as_emit_grid_writes_it():
+    for line in ("# dims=03,3", "# dims=+3,3", "# dims=\u0663,3"):
+        with pytest.raises(ValueError, match="expected '# dims=dA,dB'"):
+            parse_grid(f"{line}\na,b,value\n0,0,0.5\n".encode(), format="csv")
 
 
 def test_grid_requires_dimensions_at_least_two():

@@ -213,7 +213,7 @@ def test_sample_separable_keeps_the_term_by_term_draw_order():
 
 @pytest.mark.parametrize("d, d_b", [(1, None), (1, 1), (2, 1), (1, 2), (0, None), (2, 0)])
 def test_sample_separable_rejects_dimensions_below_two(d, d_b):
-    with pytest.raises(ValueError, match="dimension must be >= 2"):
+    with pytest.raises(ValueError, match="local dimensions must be two integers >= 2, got"):
         qm.sample_separable(d, 2, seed=0, d_b=d_b)
 
 

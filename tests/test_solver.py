@@ -43,6 +43,11 @@ def test_options_validation():
         solver.SolverOptions(max_iter=0)
     with pytest.raises(ValueError):
         solver.SolverOptions(mu_factor=1.0)
+    # a step cap is a count: a float or a bool is rejected, not truncated
+    for bad in (2.5, 30.7, 1.0, True, False, "5", None):
+        with pytest.raises(ValueError, match=r"max_iter must be an int >= 1, got "):
+            solver.SolverOptions(max_iter=bad)
+    assert solver.SolverOptions(max_iter=1).max_iter == 1
 
 
 def test_worked_example_matches_closed_form():
@@ -501,6 +506,19 @@ def test_a_stalled_line_search_names_its_stage():
             solver._guarded_step(
                 block, np.zeros((2, 3)), np.stack([step, -step]),
                 np.ones(2), np.full(2, 0.04), np.full(2, 7),
+            )
+
+
+def test_a_nan_step_length_stalls_instead_of_halving_forever():
+    block = solver._ActiveBlock([(0, 0), (0, 1), (1, 1)], 1.0)
+    message = r"line search stalled at stage mu=0\.04 \(Newton step 7\)"
+    with solver._kernel_errstate():
+        with pytest.raises(solver.SolverError, match=message):
+            solver._guarded_step(block, np.zeros(3), np.ones(3), math.nan, 0.04, 7)
+        with pytest.raises(solver.SolverError, match=message):
+            solver._guarded_step(
+                block, np.zeros((2, 3)), np.ones((2, 3)),
+                np.array([1.0, math.nan]), np.full(2, 0.04), np.full(2, 7),
             )
 
 
