@@ -29,7 +29,8 @@ CSV: header ``a,b,value``, one correlator per row, UTF-8, LF line endings.
     Qubit grids use axis labels (``X,Z,0.5``).  Any other grid uses basis
     indices and must declare its dimensions in a ``# dims=3,3`` line before
     the header; undeclared numeric-index CSV is rejected, because the
-    largest index present does not determine the dimensions.
+    largest index present does not determine the dimensions.  The first
+    row's form, labels or indices, is that of every row.
 
 Values may exceed 1 in magnitude by a small experimental-noise headroom;
 anything beyond |value| = 1.05 is rejected on ingestion and construction.
@@ -271,9 +272,13 @@ def _read_entries(dims: tuple[int, int], entries: Mapping) -> tuple[list, list[f
     except (TypeError, ValueError, OverflowError) as err:
         if cells:
             check_correlators(dims, cells, values + [0.0] * (len(cells) - len(values)))
+        if isinstance(err, ValueError):
+            raise
+        # the cell read last holds a value that float() does not take
+        label = pair_label(dims, cells[-1])
         if isinstance(err, OverflowError):
-            raise ValueError(f"correlator {pair_label(dims, cells[-1])} is too large") from None
-        raise
+            raise ValueError(f"correlator {label} is too large") from None
+        raise ValueError(f"correlator {label!r} is not a number") from None
     return cells, values
 
 
@@ -357,16 +362,23 @@ def _parse_csv(text: str) -> CorrelatorGrid:
         rows.append(cells)
     if not rows:
         raise ValueError("no measured entries")
-    qubit_labels = all(a in AXES and b in AXES for a, b, _ in rows)
+    # the first row's form is every row's, so a row in the other form is named
+    qubit_labels = rows[0][0] in AXES and rows[0][1] in AXES
     values: dict[tuple[int, int], float] = {}
     for a, b, raw in rows:
+        key = f"{a},{b}"
         try:
             v = float(raw)
         except ValueError:
-            raise ValueError(f"correlator {a + ',' + b!r} is not a number") from None
-        pair = parse_qubit_label(a + b) if qubit_labels else _index_key(f"{a},{b}")
+            raise ValueError(f"correlator {key!r} is not a number") from None
+        if not qubit_labels:
+            pair = _index_key(key)
+        elif a in AXES and b in AXES:
+            pair = parse_qubit_label(a + b)
+        else:
+            raise ValueError(f"unknown Pauli label {key!r}")
         if pair in values:
-            raise ValueError(f"duplicate key {a + b!r}")
+            raise ValueError(f"duplicate key {key!r}")
         values[pair] = v
     if qubit_labels:
         if declared not in (None, (2, 2)):

@@ -116,16 +116,17 @@ of their factors and one stacked (N, k, k) solve for the Newton steps.  The
 stack shares its split into lines, corners, complete blocks and the path's
 sub-support, and the closed forms work elementwise.  Each grid keeps its
 own mu, step count and stop, so its iterates are exactly those of solving
-it alone; a grid that has stopped keeps its place and takes zero steps.  A
-grid whose step the roundoff guard must shorten is halved alone, while the
-others keep their stacked factor.  With one grid on the path (``ne_solve``,
-or a stack whose other grids are zero on the path's sub-support) the
-single-grid loop runs instead.  The arrays are small, so per-call overhead
-sets the cost of both loops: on one thread of a shared 2-core x86 host,
-single solves through the stacked loop took 3.6x as long (1.78 vs 0.49 ms
-per path over 600 qubit staircases), and the paths of 19-angle sweeps of
-the four families on the staircase XX,XY,YY,YZ through the single-grid loop
-2.3-3.1x as long (8.3-9.8 vs 3.1-3.6 ms).
+it alone; a grid that has stopped stays in every stacked call, masked, and
+takes zero steps.  A grid whose step the roundoff guard must shorten is
+halved alone, while the others keep their stacked factor.  With one grid
+on the path (``ne_solve``, or a stack whose other grids are zero on the
+path's sub-support) the single-grid loop runs instead.  The arrays are
+small, so per-call overhead sets the cost of both loops: on one thread of
+a shared 2-core x86 host, single solves through the stacked loop took
+3.1-3.3x as long (1.92-2.01 vs 0.62 ms per path over 600 qubit
+staircases), and the paths of 19-angle sweeps of the four families on the
+staircase XX,XY,YY,YZ through the single-grid loop 2.4-3.8x as long
+(8.9-11.8 vs 2.9-3.7 ms).
 
 The kernels call LAPACK through numpy's own linalg gufuncs, bound once as
 ``numpy.linalg._umath_linalg``: ``cholesky_lo``, ``inv``, ``solve1`` and
@@ -134,12 +135,13 @@ and ``solve`` call, so every bit is theirs.  The public functions check
 shapes and types and enter an errstate on each call, which costs more than
 LAPACK does at these sizes: on a side-5 active block, on one thread, the
 public function against the gufunc took 6.2 vs 1.3 us per factorization,
-9.3 vs 3.7 us per inverse and 8.8 vs 2.5 us per solve.  That private module is the solver's one binding outside numpy's
-public API, and a test holds each kernel to the public function's bits.  A
-gufunc does not raise: where it cannot factor or solve a matrix it writes a
-NaN matrix.  A failure is read there, from one entry for a single grid
-(the last pivot of a factor, the first entry of a step) and from one entry
-per row in a stack.  Each barrier path runs inside one ``np.errstate`` that
+9.3 vs 3.7 us per inverse and 8.8 vs 2.5 us per solve.  That private
+module is the solver's one binding outside numpy's public API, and a test
+holds each kernel to the public function's bits.  A gufunc does not
+raise: where it cannot factor or solve a matrix it writes a NaN matrix.  A
+failure is read there, from one entry for a single grid (the last pivot of
+a factor, the first entry of a step) and from one entry per row in a
+stack.  Each barrier path runs inside one ``np.errstate`` that
 ignores the invalid, overflow, divide and underflow flags, as numpy's
 functions do around the same calls.
 
@@ -230,8 +232,8 @@ class _ActiveBlock:
     def cholesky(self, c: np.ndarray) -> np.ndarray | None:
         """Cholesky factor of the active B(c), None when it is not PD.
 
-        A stack c (N, k) gets its (N, s, s) factors, a NaN matrix for each
-        B(c) that is not PD, and None when no B(c) is.
+        A stack c (N, k) gets its (N, s, s) factors, with a NaN matrix for
+        each B(c) that is not PD.
         """
         if c.ndim == 1:
             big = self.base.copy()
@@ -242,8 +244,7 @@ class _ActiveBlock:
             return None if math.isnan(chol[-1, -1]) else chol
         big = np.repeat(self.base[None], len(c), axis=0)
         big.reshape(len(c), -1)[:, self.entries] = np.concatenate([c, c], axis=1)
-        chol = _lapack.cholesky_lo(big)
-        return None if np.isnan(chol[:, -1, -1]).all() else chol
+        return _lapack.cholesky_lo(big)
 
 
 def _derivatives(
@@ -301,8 +302,6 @@ def _guarded_step(
     if c.ndim == 2:
         trial = c + alpha[:, None] * step
         chol = block.cholesky(trial)
-        if chol is None:
-            chol = np.full((len(c),) + block.base.shape, np.nan)
         for row in np.flatnonzero(np.isnan(chol[:, -1, -1])):
             trial[row], chol[row] = _guarded_step(
                 block, c[row], step[row], float(alpha[row]), float(mu[row]), steps[row]
@@ -320,6 +319,13 @@ def _guarded_step(
         trial = c + alpha * step
         chol = block.cholesky(trial)
     return trial, chol
+
+
+def _iteration_limit(mu: float, opts: SolverOptions) -> SolverError:
+    return SolverError(
+        "interior-point iteration limit exceeded at stage"
+        f" mu={mu:.3g} (max_iter={opts.max_iter})"
+    )
 
 
 def _maximize(
@@ -358,10 +364,7 @@ def _maximize(
                 mu *= opts.mu_factor
             steps += 1
             if steps > opts.max_iter:
-                raise SolverError(
-                    "interior-point iteration limit exceeded at stage"
-                    f" mu={mu:.3g} (max_iter={opts.max_iter})"
-                )
+                raise _iteration_limit(mu, opts)
             # feasible by construction (alpha * lambda < 1); halving guards
             # roundoff
             lam = math.sqrt(lambda_sq)
@@ -389,36 +392,32 @@ def _maximize_stack(
     steps = np.zeros(count, dtype=int)
     # a stopped row keeps its iterate: it takes step 0 with decrement 0
     done = np.zeros(count, dtype=bool)
-    step = np.empty((count, k))
-    lambda_sq = np.empty(count)
 
     with _kernel_errstate():
         chol = block.cholesky(c)
         while True:
             hess, diag = _derivatives(block, chol, k)
-            rows = np.flatnonzero(~done)
-            while rows.size:
+            while True:
                 # a row centered for its mu stops on its last stage, or else
-                # shrinks mu and forms g again, as the scalar loop does
-                g = v[rows] * (0.5 / mu[rows])[:, None] + diag[rows]
-                step[rows], lambda_sq[rows] = _newton_step(hess[rows], g)
-                last = nu * mu[rows] <= 0.5 * opts.tol
+                # shrinks mu and forms g again, as the scalar loop does; any
+                # other row, a stopped one too, gets the same step again
+                g = v * (0.5 / mu)[:, None] + diag
+                step, lambda_sq = _newton_step(hess, g)
+                last = nu * mu <= 0.5 * opts.tol
                 bound = np.where(last, _CENTERED_DECREMENT, _STAGE_DECREMENT)
-                centered = lambda_sq[rows] <= bound
-                stopped = rows[centered & last]
-                done[stopped] = True
-                step[stopped] = lambda_sq[stopped] = 0.0
-                rows = rows[centered & ~last]
-                mu[rows] *= opts.mu_factor
+                centered = lambda_sq <= bound
+                done |= centered & last
+                shrink = centered & ~last
+                if not shrink.any():
+                    break
+                mu = np.where(shrink, mu * opts.mu_factor, mu)
             if done.all():
                 return c, steps, nu * mu
             steps += ~done
             if steps.max() > opts.max_iter:
-                raise SolverError(
-                    "interior-point iteration limit exceeded at stage"
-                    f" mu={mu[steps.argmax()]:.3g} (max_iter={opts.max_iter})"
-                )
-            lam = np.sqrt(lambda_sq)
+                raise _iteration_limit(mu[steps.argmax()], opts)
+            step = np.where(done[:, None], 0.0, step)
+            lam = np.sqrt(np.where(done, 0.0, lambda_sq))
             alpha = np.where(lam <= _QUADRATIC_PHASE, 1.0, 1.0 / (1.0 + lam))
             c, chol = _guarded_step(block, c, step, alpha, mu, steps)
 

@@ -120,6 +120,24 @@ def test_csv_numeric_indices_need_declared_dims():
     assert declared == CorrelatorGrid.from_labels({"XZ": 0.5})
 
 
+def test_a_csv_row_is_named_as_written():
+    # the first row sets the form; the row that breaks it is the one named
+    with pytest.raises(ValueError, match=re.escape("unknown Pauli label 'X,Q'")):
+        parse_grid(b"a,b,value\nX,X,0.5\nX,Q,0.5\n", format="csv")
+    with pytest.raises(ValueError, match=re.escape("unknown Pauli label '0,1'")):
+        parse_grid(b"# dims=2,2\na,b,value\nX,X,0.5\n0,1,0.5\n", format="csv")
+    # two fields do not join into one label
+    with pytest.raises(ValueError, match=re.escape("unknown Pauli label 'XY,'")):
+        parse_grid(b"a,b,value\nX,X,0.5\nXY,,0.5\n", format="csv")
+    with pytest.raises(ValueError, match=re.escape("malformed index key 'X,X'")):
+        parse_grid(b"# dims=3,3\na,b,value\n0,0,0.5\nX,X,0.5\n", format="csv")
+    # '1,10' and '11,0' are distinct cells, which '110' would not tell apart
+    with pytest.raises(ValueError, match=re.escape("duplicate key '1,10'")):
+        parse_grid(b"# dims=4,4\na,b,value\n11,0,0.5\n1,10,0.5\n1,10,0.5\n", format="csv")
+    with pytest.raises(ValueError, match=re.escape("duplicate key 'X,Z'")):
+        parse_grid(b"a,b,value\nX,Z,0.5\nX,Z,0.5\n", format="csv")
+
+
 def test_render_float_shortest_roundtrip():
     assert render_float(1.0) == "1"
     assert render_float(-0.0) == "0"
@@ -384,6 +402,16 @@ def test_grid_requires_dimensions_at_least_two():
 def test_the_first_offending_entry_is_named(values, message):
     with pytest.raises(ValueError, match=message):
         CorrelatorGrid((3, 3), values)
+
+
+@pytest.mark.parametrize("value", [None, [0.5], 1j])
+def test_a_correlator_that_is_no_number_is_named(value):
+    for dims, label in (((2, 2), "'XY'"), ((3, 3), "'0,1'")):
+        with pytest.raises(ValueError, match=f"correlator {label} is not a number"):
+            CorrelatorGrid(dims, {(0, 0): 0.5, (0, 1): value})
+    # a cell outside the basis range is named first, as for any value
+    with pytest.raises(ValueError, match="outside basis range"):
+        CorrelatorGrid((2, 2), {(3, 0): value})
 
 
 def test_stacked_correlators_name_the_first_offending_entry():
