@@ -1,10 +1,13 @@
-"""Product-state bounds and certification beyond two parties.
+"""Product-state bounds and a heuristic entanglement test beyond two parties.
 
 The separable bound for a multipartite Pauli observable is its maximum
-over product states, found by cyclic single-site power iteration.  Four
-GHZ-stabilizer correlators at value 1 then certify genuine three-qubit
-entanglement: the observable's product-state maximum is 3, while the
-GHZ state reaches 4.
+over product states, found by cyclic single-site power iteration (SPI).
+The GHZ state reaches 4 on the sum of four GHZ-stabilizer correlators,
+while SPI finds 3 for product states.  ``ne_multipartite`` on those
+correlators at value 1 tests full separability only, not genuine
+three-qubit entanglement, and against SPI's value, a lower bound on the
+product-state maximum.  So its verdict is heuristic, not certified, as
+the note printed last says.
 """
 
 from entcert.multipartite import (

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -195,14 +196,25 @@ def sample_correlator(
     rho: DensityMatrix, a: str, b: str, shots: int, seed: int
 ) -> float:
     """Empirical +-1-product mean over ``shots`` joint measurements."""
-    _check_shots(shots)
-    rng = np.random.default_rng(seed)
+    shots = _read_int("shots", shots, 1, _MAX_SHOTS)
+    rng = np.random.default_rng(_read_int("seed", seed, 0))
     return _sample_with_rng(rho, a, b, shots, rng)
 
 
-def _check_shots(shots: int) -> None:
-    if not 1 <= shots <= _MAX_SHOTS:
-        raise ValueError(f"shots must lie in [1, {_MAX_SHOTS}], got {shots}")
+def _read_int(name: str, value: object, low: int, high: float = math.inf) -> int:
+    """``value`` as an int in [low, high], read through ``operator.index``:
+    a float or a bool is refused, not truncated; else ValueError naming ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if low <= number <= high:
+                return number
+    if high < math.inf:
+        raise ValueError(f"{name} must lie in [{low}, {high}] as an int, got {value!r}")
+    raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 #: The product a * b of each joint outcome, in ``_joint_projectors`` order.
@@ -349,24 +361,28 @@ def correlator_grid(
 
     With ``shots`` set (qubits only), every entry is an empirical mean over
     that many joint measurements; per-entry streams are derived
-    deterministically from ``seed``.
+    deterministically from ``seed``.  Both are read as ints: shots in
+    [1, 2^63 - 1], a seed >= 0.
     """
     da, db = rho.dims
     if shots is None:
         values = _ideal_values(rho.matrix[None], rho.dims)[0]
     else:
-        _check_sampling(rho.dims, shots, seed)
+        shots, seed = _read_sampling(rho.dims, shots, seed)
         values = _sampled_values(rho.matrix[None], shots, [seed])[0]
     cells = list(itertools.product(range(da * da - 1), range(db * db - 1)))
     return CorrelatorGrid._from_array(rho.dims, cells, values)
 
 
-def _check_sampling(dims: tuple[int, int], shots: int, seed: int | None) -> None:
+def _read_sampling(
+    dims: tuple[int, int], shots: object, seed: object
+) -> tuple[int, int]:
+    """``shots`` and ``seed`` as ints, for sampling a grid of ``dims``."""
     if dims != (2, 2):
         raise ValueError("shot sampling supports qubit pairs only")
     if seed is None:
         raise ValueError("seed is required when sampling")
-    _check_shots(shots)
+    return _read_int("shots", shots, 1, _MAX_SHOTS), _read_int("seed", seed, 0)
 
 
 def _ideal_values(matrices: Array, dims: tuple[int, int]) -> Array:
@@ -393,7 +409,7 @@ def family_grid_values(
     if shots is None:
         values = _ideal_values(states, (2, 2))
     else:
-        _check_sampling((2, 2), shots, seed)
+        shots, seed = _read_sampling((2, 2), shots, seed)
         values = _sampled_values(states, shots, range(seed, seed + len(states)))
     check_correlators((2, 2), _QUBIT_CELLS, values)
     return values
@@ -419,7 +435,7 @@ def sample_separable(
 
     ``d`` is the first local dimension; ``d_b`` defaults to ``d``.
     Mixture weights are uniform Dirichlet.  Deterministic given ``seed``,
-    and a seed keeps its state: after the ``terms`` weights, each term
+    an int >= 0, and a seed keeps its state: after the ``terms`` weights, each term
     takes 2(d + d_b) standard normals from ``default_rng(seed)``, in the
     order real and imaginary parts of the first factor, then those of the
     second.
@@ -428,7 +444,7 @@ def sample_separable(
     if not integral or terms < 1:
         raise ValueError(f"terms must be a positive int, got {terms!r}")
     d, db = read_dims((d, d if d_b is None else d_b))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_read_int("seed", seed, 0))
     weights = rng.dirichlet(np.ones(terms))
     parts = rng.normal(size=(terms, 2 * (d + db)))
     va = parts[:, :d] + 1.0j * parts[:, d : 2 * d]

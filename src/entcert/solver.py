@@ -145,6 +145,19 @@ stack.  Each barrier path runs inside one ``np.errstate`` that
 ignores the invalid, overflow, divide and underflow flags, as numpy's
 functions do around the same calls.
 
+What a solve derives from (dims, support) alone, before it reads any
+data, is the support's plan: t, m and n; the lines' positions, with the
+offsets and sizes that ``reduceat`` takes; the corner triples; each
+complete block's row-major positions; and the path's cells, their
+positions and their active block.  Supports repeat: the separable
+soundness test solves 100 grids on each, and a sweep or a bisection
+solves one again and again.  So ``_plan`` keeps the 32 plans last used,
+keyed by (dims, support), with read-only arrays; the active block is kept
+per (cells, t), where the path loops look it up, and
+``witness.spectral_norms`` keeps its scatter positions per (dims, support)
+alike.  A miss builds the plan as every solve once did, and every input
+check still runs on every call.
+
 The results of a stack are built together: the shared support is checked
 once, the (N, k) coefficients as one array, and one stacked SVD gives the N
 spectral norms of the witness bounds, each equal to the single matrix's.
@@ -158,9 +171,10 @@ names the stage mu the path had reached.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg as _lapack
@@ -173,6 +187,8 @@ _CENTERED_DECREMENT = 1e-4  # squared Newton decrement: lambda <= 0.01
 _STAGE_DECREMENT = 0.25  # before the last stage: lambda <= 1/2
 _QUADRATIC_PHASE = 0.25  # below this lambda the undamped step is safe
 _MONOTONE_SLACK = 1e-9
+#: Plans and path blocks held, one per key, least recently used out.
+_CACHED_PLANS = 32
 
 
 class SolverError(RuntimeError):
@@ -228,6 +244,8 @@ class _ActiveBlock:
         # columns of W give (W E)^T (W E), which holds every entry of
         # B(c)^-1 that the gradient and Hessian read, in four k x k blocks
         self.picks = np.concatenate([rows, cols])
+        for array in (self.base, self.entries, self.picks):
+            array.setflags(write=False)
 
     def cholesky(self, c: np.ndarray) -> np.ndarray | None:
         """Cholesky factor of the active B(c), None when it is not PD.
@@ -245,6 +263,10 @@ class _ActiveBlock:
         big = np.repeat(self.base[None], len(c), axis=0)
         big.reshape(len(c), -1)[:, self.entries] = np.concatenate([c, c], axis=1)
         return _lapack.cholesky_lo(big)
+
+
+#: The active block of the path on (cells, t): built once per key and shared.
+_active_block = functools.lru_cache(maxsize=_CACHED_PLANS)(_ActiveBlock)
 
 
 def _derivatives(
@@ -343,7 +365,7 @@ def _maximize(
     """
     nu = m + n
     k = len(support)
-    block = _ActiveBlock(support, t)
+    block = _active_block(tuple(support), t)
     c = np.zeros(k)
     mu = 1.0
     steps = 0
@@ -386,7 +408,7 @@ def _maximize_stack(
     """
     nu = m + n
     count, k = v.shape
-    block = _ActiveBlock(support, t)
+    block = _active_block(tuple(support), t)
     c = np.zeros((count, k))
     mu = np.ones(count)
     steps = np.zeros(count, dtype=int)
@@ -461,6 +483,50 @@ def _components(
         else:
             rest += cells
     return lines, corners, blocks, sorted(rest)
+
+
+def _positions(positions: object) -> np.ndarray:
+    """``positions`` as a read-only index array."""
+    out = np.array(positions, dtype=np.intp)
+    out.setflags(write=False)
+    return out
+
+
+class _Plan(NamedTuple):
+    """What a solve derives from (dims, support) alone, before any data."""
+
+    t: float
+    m: int
+    n: int
+    lines: np.ndarray  # the lines' positions, line after line
+    line_starts: np.ndarray  # the reduceat offset of each line in ``lines``
+    line_sizes: np.ndarray
+    corners: np.ndarray  # (count, 3): corner, row mate, column mate
+    blocks: tuple[np.ndarray, ...]  # each complete block's (r, c) positions
+    cells: tuple[tuple[int, int], ...]  # the path's cells, at positions ``rest``
+    rest: np.ndarray
+    block: _ActiveBlock | None  # the path's, as ``_active_block`` keeps it
+
+
+@functools.lru_cache(maxsize=_CACHED_PLANS)
+def _plan(dims: tuple[int, int], support: tuple[tuple[int, int], ...]) -> _Plan:
+    """The plan of ``support``: built once per key and shared."""
+    da, db = dims
+    t = 1.0 / math.sqrt((da - 1) * (db - 1))
+    lines, corners, blocks, rest = _components(support)
+    sizes = [len(line) for line in lines]
+    cells = tuple(support[k] for k in rest)
+    return _Plan(
+        t, da * da - 1, db * db - 1,
+        _positions([k for line in lines for k in line]),
+        _positions(np.cumsum([0] + sizes[:-1])),
+        _positions(sizes),
+        _positions(corners).reshape(-1, 3),
+        tuple(map(_positions, blocks)),
+        cells,
+        _positions(rest),
+        _active_block(cells, t) if cells else None,
+    )
 
 
 def _unit_shift(peak: np.ndarray) -> np.ndarray:
@@ -583,42 +649,38 @@ def _ne_solve_stack(
     grid on ``support``, checked as ``CorrelatorGrid`` checks them."""
     opts = options or SolverOptions()
     count = len(values)
-    da, db = dims
-    m, n = da * da - 1, db * db - 1
-    t = 1.0 / math.sqrt((da - 1) * (db - 1))
+    plan = _plan(dims, support)
+    t, cells, rest = plan.t, plan.cells, plan.rest
 
-    # indexing columns with a list gives a column-major array, so the parts
-    # below are made row-major: a strided row would round its sums and dot
-    # products differently from the same row solved alone
-    lines, corners, blocks, rest = _components(support)
+    # indexing columns with an index array gives a column-major array, so
+    # the parts below are made row-major: a strided row would round its sums
+    # and dot products differently from the same row solved alone
     coeffs = np.zeros(values.shape)
     ne = np.zeros(count)
-    if lines:
-        sizes = [len(line) for line in lines]
-        order = np.concatenate(lines)
-        part = np.ascontiguousarray(values[:, order])
+    if len(plan.lines):
+        part = np.ascontiguousarray(values[:, plan.lines])
         # hypot scales, so no square underflows; reduceat gives a one-cell
         # line its own entry, hence abs
-        norms = np.hypot.reduceat(np.abs(part), np.cumsum([0] + sizes[:-1]), axis=1)
+        norms = np.hypot.reduceat(np.abs(part), plan.line_starts, axis=1)
         ne += t * norms.sum(axis=1)
-        spread = np.repeat(norms, sizes, axis=1)
+        spread = np.repeat(norms, plan.line_sizes, axis=1)
         # a zero line keeps zero coefficients
         unit = np.divide(part, spread, out=np.zeros(part.shape), where=spread > 0.0)
-        coeffs[:, order] = t * unit
-    if corners:
-        optima, unit = _corners(np.ascontiguousarray(values[:, corners]))
+        coeffs[:, plan.lines] = t * unit
+    if len(plan.corners):
+        optima, unit = _corners(np.ascontiguousarray(values[:, plan.corners]))
         ne += t * optima.sum(axis=1)
-        coeffs[:, corners] = t * unit
-    for block in blocks:
+        coeffs[:, plan.corners] = t * unit
+    for block in plan.blocks:
         optima, polar = _complete_blocks(np.ascontiguousarray(values[:, block]))
         ne += t * optima
-        coeffs[:, np.ravel(block)] = t * polar.reshape(count, -1)
+        coeffs[:, block] = t * polar
     steps = np.zeros(count, dtype=int)
     gaps = np.zeros(count)
-    if rest:
-        cells = [support[k] for k in rest]
+    if cells:
         part = np.ascontiguousarray(values[:, rest])
         rows = np.flatnonzero(part.any(axis=1))
+        m, n = plan.m, plan.n
         # the stack height picks the loop: at one row the scalar one is faster
         if len(rows) == 1:
             c, steps[rows], gaps[rows] = _maximize(part[rows[0]], cells, m, n, t, opts)

@@ -287,6 +287,45 @@ def test_gell_mann_basis_is_shared_and_read_only():
         basis.operators[1][0, 0] = 2.0
 
 
+@pytest.mark.parametrize("shots, seed, message", [
+    (2.5, 1, r"shots must lie in \[1, 9223372036854775807\] as an int, got 2\.5"),
+    (True, 1, r"shots must lie in \[1, 9223372036854775807\] as an int, got True"),
+    (2**63, 1, r"shots must lie in .* as an int, got 9223372036854775808"),
+    (100, True, r"seed must be an int >= 0, got True"),
+    (100, 1.0, r"seed must be an int >= 0, got 1\.0"),
+    (100, -1, r"seed must be an int >= 0, got -1"),
+])
+def test_sampling_reads_shots_and_seed_as_ints(shots, seed, message):
+    rho = qm.make_state(qm.StateFamilyParams("bell"))
+    with pytest.raises(ValueError, match=message):
+        qm.correlator_grid(rho, shots=shots, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        qm.family_grid_values("bell", [0.0, 1.0], shots=shots, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        qm.sample_correlator(rho, "X", "X", shots, seed)
+
+
+@pytest.mark.parametrize("seed", [True, False, np.True_, 1.0, 2.5, -1, "3", None])
+def test_sample_separable_reads_its_seed_as_an_int(seed):
+    with pytest.raises(ValueError, match=r"seed must be an int >= 0, got "):
+        qm.sample_separable(2, 2, seed=seed)
+
+
+def test_numpy_integer_shots_and_seeds_sample_as_ints():
+    rho = qm.make_state(qm.StateFamilyParams("chi1", 0.4))
+    assert qm.correlator_grid(rho, np.int64(200), np.int64(6)) == qm.correlator_grid(
+        rho, 200, 6
+    )
+    assert np.array_equal(
+        qm.family_grid_values("chi1", [0.4], 0.0, np.int32(200), np.uint8(6)),
+        qm.family_grid_values("chi1", [0.4], 0.0, 200, 6),
+    )
+    assert np.array_equal(
+        qm.sample_separable(2, 2, seed=np.int64(5)).matrix,
+        qm.sample_separable(2, 2, seed=5).matrix,
+    )
+
+
 def test_contraction_table_is_shared_and_read_only():
     table = qm._contraction_table(3, 2)
     assert qm._contraction_table(3, 2) is table

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entcert import patterns, qmodel, solver
+from entcert import patterns, qmodel, solver, witness
 from entcert.grids import CorrelatorGrid, MeasurementSet
 from entcert.witness import CoefficientMatrix, NEResult
 
@@ -1249,3 +1249,122 @@ def test_stacks_with_complete_blocks_equal_each_grid_alone_bit_for_bit():
         grids = [CorrelatorGrid(dims, dict(zip(cells, row.tolist()))) for row in rows]
         for grid, got in zip(grids, solver.ne_solve_batch(grids, cells)):
             assert _bits(got) == _bits(solver.ne_solve(grid, cells))
+
+
+# -- plans ----------------------------------------------------------------------
+
+
+def _clear_plans():
+    """Empty every cache a solve fills from (dims, support)."""
+    solver._plan.cache_clear()
+    solver._active_block.cache_clear()
+    witness._flat_positions.cache_clear()
+
+
+def _random_support(rng, dims):
+    m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    size = int(rng.integers(1, min(m * n, 12) + 1))
+    flat = rng.choice(m * n, size=size, replace=False)
+    return tuple(sorted(divmod(int(f), n) for f in flat))
+
+
+def test_a_warm_plan_gives_the_bits_of_a_cold_one():
+    rng = np.random.default_rng(137)
+    cases = [(g.dims, g.measured, [g]) for g in PINNED_GRIDS.values()]
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for k in range(12):
+            support = _random_support(rng, dims)
+            rows = rng.uniform(-1.0, 1.0, size=(1 + k % 4, len(support)))
+            grids = [CorrelatorGrid(dims, dict(zip(support, r.tolist()))) for r in rows]
+            cases.append((dims, support, grids))
+    # a sweep's stack, read from its full grids as the CLI reads it
+    support = tuple(sorted(MeasurementSet.parse("XX,XY,YY,YZ")))
+    full = qmodel.family_grid_values("chi1", np.linspace(-np.pi, np.pi, 19), 0.1)
+    values = full[:, [3 * i + j for i, j in support]]
+    sweep = [CorrelatorGrid((2, 2), dict(zip(support, r.tolist()))) for r in values]
+    cases.append(((2, 2), support, sweep))
+    # one staircase on every pair of local dimensions
+    staircase = ((0, 0), (0, 1), (1, 1), (1, 2))
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        grid = CorrelatorGrid(dims, dict(zip(staircase, (0.9, -0.3, 0.8, 0.2))))
+        cases.append((dims, staircase, [grid]))
+
+    def entries(dims, support, grids):
+        values = np.array([[g.value_at(c) for c in support] for g in grids])
+        return [
+            lambda: [solver.ne_solve(g, support) for g in grids],
+            lambda: solver.ne_solve_batch(grids, support),
+            lambda: solver._ne_solve_stack(dims, support, values),
+        ]
+
+    colds = []
+    for case in cases:
+        for solve in entries(*case):
+            _clear_plans()
+            colds.append([_bits(r) for r in solve()])
+            assert [_bits(r) for r in solve()] == colds[-1], case[:2]
+    # again with the caches kept from case to case
+    warm = [[_bits(r) for r in solve()] for case in cases for solve in entries(*case)]
+    assert warm == colds
+    assert sum(any(bits[2] > 0 for bits in cold) for cold in colds) > 30
+    for name, grid in PINNED_GRIDS.items():
+        _clear_plans()
+        assert _bits(solver.ne_solve(grid)) == PINNED[name], name
+
+
+def test_the_plan_caches_stay_within_their_bound():
+    rng = np.random.default_rng(139)
+    seen = set()
+    while len(seen) < 200:
+        dims = ((2, 2), (2, 3), (3, 2), (3, 3))[len(seen) % 4]
+        support = _random_support(rng, dims)
+        if (dims, support) in seen:
+            continue
+        seen.add((dims, support))
+        values = rng.uniform(-1.0, 1.0, size=len(support)).tolist()
+        solver.ne_solve(CorrelatorGrid(dims, dict(zip(support, values))))
+        for cache in (solver._plan, solver._active_block, witness._flat_positions):
+            assert cache.cache_info().currsize <= 32
+    assert solver._CACHED_PLANS == witness._CACHED_SUPPORTS == 32
+    assert solver._plan.cache_info().currsize == 32
+
+
+def _read_only(value):
+    """Whether every array in ``value``, a plan field, is read-only and every
+    sequence a tuple."""
+    if isinstance(value, np.ndarray):
+        return not value.flags.writeable
+    if isinstance(value, solver._ActiveBlock):
+        return all(map(_read_only, (value.base, value.entries, value.picks)))
+    if isinstance(value, list):
+        return False
+    return not isinstance(value, tuple) or all(map(_read_only, value))
+
+
+def test_a_plan_holds_each_part_read_only():
+    # a one-cell line, a corner, a complete block and a staircase
+    support = (
+        (0, 0), (1, 1), (1, 2), (2, 1), (3, 3), (3, 4), (4, 3), (4, 4),
+        (5, 5), (5, 6), (6, 6), (6, 7),
+    )
+    plan = solver._plan((3, 3), support)
+    assert solver._plan((3, 3), support) is plan
+    assert (plan.t, plan.m, plan.n) == (0.5, 8, 8)
+    assert plan.lines.tolist() == [0] and plan.line_starts.tolist() == [0]
+    assert plan.line_sizes.tolist() == [1]
+    assert plan.corners.tolist() == [[1, 2, 3]]
+    assert [b.tolist() for b in plan.blocks] == [[[4, 5], [6, 7]]]
+    assert plan.cells == support[8:] and plan.rest.tolist() == [8, 9, 10, 11]
+    assert plan.block is solver._active_block(plan.cells, plan.t)
+    # no path: no block
+    lines = solver._plan((2, 3), ((0, 0), (0, 4), (2, 7)))
+    assert lines.line_sizes.tolist() == [2, 1] and lines.corners.shape == (0, 3)
+    assert (lines.blocks, lines.cells, lines.block) == ((), (), None)
+    for each in (plan, lines):
+        for name, value in each._asdict().items():
+            assert _read_only(value), name
+    positions = witness._flat_positions((3, 3), support)
+    assert not positions.flags.writeable
+    for array in (plan.lines, plan.corners, plan.block.base, positions):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
