@@ -148,15 +148,13 @@ functions do around the same calls.
 What a solve derives from (dims, support) alone, before it reads any
 data, is the support's plan: t, m and n; the lines' positions, with the
 offsets and sizes that ``reduceat`` takes; the corner triples; each
-complete block's row-major positions; and the path's cells, their
-positions and their active block.  Supports repeat: the separable
-soundness test solves 100 grids on each, and a sweep or a bisection
-solves one again and again.  So ``_plan`` keeps the 32 plans last used,
-keyed by (dims, support), with read-only arrays; the active block is kept
-per (cells, t), where the path loops look it up, and
-``witness.spectral_norms`` keeps its scatter positions per (dims, support)
-alike.  A miss builds the plan as every solve once did, and every input
-check still runs on every call.
+complete block's row-major positions; and the path's cells and their
+positions.  Supports repeat: the separable soundness test solves 100
+grids on each, and a sweep or a bisection solves one again and again.
+So ``_plan`` keeps the plans last used, keyed by (dims, support), with
+read-only arrays, and ``_active_block`` keeps the path's active block per
+(cells, t), where the path loops look it up.  A miss builds the plan as
+every solve once did, and every input check still runs on every call.
 
 The results of a stack are built together: the shared support is checked
 once, the (N, k) coefficients as one array, and one stacked SVD gives the N
@@ -187,7 +185,9 @@ _CENTERED_DECREMENT = 1e-4  # squared Newton decrement: lambda <= 0.01
 _STAGE_DECREMENT = 0.25  # before the last stage: lambda <= 1/2
 _QUADRATIC_PHASE = 0.25  # below this lambda the undamped step is safe
 _MONOTONE_SLACK = 1e-9
-#: Plans and path blocks held, one per key, least recently used out.
+#: Plans and path blocks held, one per key, least recently used out.  The
+#: separable test reuses one support at a time; 32 keep over half the hits of
+#: an unbounded cache where supports recur between others (BENCH_23.json).
 _CACHED_PLANS = 32
 
 
@@ -505,7 +505,6 @@ class _Plan(NamedTuple):
     blocks: tuple[np.ndarray, ...]  # each complete block's (r, c) positions
     cells: tuple[tuple[int, int], ...]  # the path's cells, at positions ``rest``
     rest: np.ndarray
-    block: _ActiveBlock | None  # the path's, as ``_active_block`` keeps it
 
 
 @functools.lru_cache(maxsize=_CACHED_PLANS)
@@ -525,7 +524,6 @@ def _plan(dims: tuple[int, int], support: tuple[tuple[int, int], ...]) -> _Plan:
         tuple(map(_positions, blocks)),
         cells,
         _positions(rest),
-        _active_block(cells, t) if cells else None,
     )
 
 

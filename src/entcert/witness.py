@@ -32,9 +32,6 @@ Array = np.ndarray
 #: A witness expectation below this threshold counts as a detection.
 DETECTION_TOL = 1e-9
 
-#: Scatter positions held, one per (dims, support), least recently used out.
-_CACHED_SUPPORTS = 32
-
 VERDICT_ENTANGLED = "entangled"
 VERDICT_UNDETECTED = "undetected"
 
@@ -142,18 +139,9 @@ def spectral_norms(
     for bit."""
     m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
     dense = np.zeros(coeffs.shape[:-1] + (m * n,))
-    dense[..., _flat_positions(tuple(dims), tuple(support))] = coeffs
+    dense[..., np.array([i * n + j for i, j in support])] = coeffs
     shape = coeffs.shape[:-1] + (m, n)
     return np.linalg.svd(dense.reshape(shape), compute_uv=False)[..., 0]
-
-
-@functools.lru_cache(maxsize=_CACHED_SUPPORTS)
-def _flat_positions(dims: tuple[int, int], support: tuple) -> Array:
-    """Row-major positions of ``support`` in the dense matrix: built once per
-    key, read-only."""
-    positions = np.array([i * (dims[1] ** 2 - 1) + j for i, j in support])
-    positions.setflags(write=False)
-    return positions
 
 
 def separable_bound(c: CoefficientMatrix) -> float:

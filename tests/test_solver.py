@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entcert import patterns, qmodel, solver, witness
+from entcert import patterns, qmodel, solver
 from entcert.grids import CorrelatorGrid, MeasurementSet
 from entcert.witness import CoefficientMatrix, NEResult
 
@@ -1258,7 +1258,6 @@ def _clear_plans():
     """Empty every cache a solve fills from (dims, support)."""
     solver._plan.cache_clear()
     solver._active_block.cache_clear()
-    witness._flat_positions.cache_clear()
 
 
 def _random_support(rng, dims):
@@ -1323,10 +1322,9 @@ def test_the_plan_caches_stay_within_their_bound():
         seen.add((dims, support))
         values = rng.uniform(-1.0, 1.0, size=len(support)).tolist()
         solver.ne_solve(CorrelatorGrid(dims, dict(zip(support, values))))
-        for cache in (solver._plan, solver._active_block, witness._flat_positions):
-            assert cache.cache_info().currsize <= 32
-    assert solver._CACHED_PLANS == witness._CACHED_SUPPORTS == 32
-    assert solver._plan.cache_info().currsize == 32
+        for cache in (solver._plan, solver._active_block):
+            assert cache.cache_info().currsize <= solver._CACHED_PLANS
+    assert solver._plan.cache_info().currsize == solver._CACHED_PLANS
 
 
 def _read_only(value):
@@ -1334,8 +1332,6 @@ def _read_only(value):
     sequence a tuple."""
     if isinstance(value, np.ndarray):
         return not value.flags.writeable
-    if isinstance(value, solver._ActiveBlock):
-        return all(map(_read_only, (value.base, value.entries, value.picks)))
     if isinstance(value, list):
         return False
     return not isinstance(value, tuple) or all(map(_read_only, value))
@@ -1355,16 +1351,17 @@ def test_a_plan_holds_each_part_read_only():
     assert plan.corners.tolist() == [[1, 2, 3]]
     assert [b.tolist() for b in plan.blocks] == [[[4, 5], [6, 7]]]
     assert plan.cells == support[8:] and plan.rest.tolist() == [8, 9, 10, 11]
-    assert plan.block is solver._active_block(plan.cells, plan.t)
-    # no path: no block
+    # no path
     lines = solver._plan((2, 3), ((0, 0), (0, 4), (2, 7)))
     assert lines.line_sizes.tolist() == [2, 1] and lines.corners.shape == (0, 3)
-    assert (lines.blocks, lines.cells, lines.block) == ((), (), None)
+    assert (lines.blocks, lines.cells) == ((), ())
     for each in (plan, lines):
         for name, value in each._asdict().items():
             assert _read_only(value), name
-    positions = witness._flat_positions((3, 3), support)
-    assert not positions.flags.writeable
-    for array in (plan.lines, plan.corners, plan.block.base, positions):
+    # the path loops share the block of the path's cells
+    block = solver._active_block(plan.cells, plan.t)
+    assert solver._active_block(plan.cells, plan.t) is block
+    assert _read_only((block.base, block.entries, block.picks))
+    for array in (plan.lines, plan.corners, block.base):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1

@@ -12,6 +12,7 @@ from entcert.witness import (
     make_witness_pair,
     ne_verdict,
     separable_bound,
+    spectral_norms,
     witness_report,
 )
 
@@ -27,6 +28,17 @@ def test_separable_bound_diagonal_two_correlators():
 def test_separable_bound_qutrit_single_entry():
     c = CoefficientMatrix((3, 3), ((1, 1),), (1.0,))
     assert separable_bound(c) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_spectral_norms_read_any_sequence_of_pairs():
+    support = ((0, 1), (1, 2), (2, 0))
+    coeffs = np.array([[0.3, -0.7, 0.2], [1.0, 0.0, -0.5]])
+    want = spectral_norms((2, 2), support, coeffs)
+    assert want.tolist() == [
+        separable_bound(CoefficientMatrix((2, 2), support, row)) for row in coeffs.tolist()
+    ]
+    for same in ([list(cell) for cell in support], np.array(support)):
+        assert spectral_norms((2, 2), same, coeffs).tolist() == want.tolist()
 
 
 def test_separable_bound_zero_matrix():
