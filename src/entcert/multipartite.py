@@ -29,9 +29,15 @@ effective operator is g 1 + h . sigma, whose top eigenvector has Bloch
 vector h / |h|, so each update is that closed form over the S starts still
 active, and only the reported start is turned into spinors, at the end of
 the search.  Every other site update is one batched eigensolve over the
-``(S, d, d)`` effective operators.  No global-optimality claim is attached
-to the outcome; results carry restart counts, the number of starts that
-reached the best value, and convergence flags instead.
+``(S, d, d)`` effective operators, which are formed, like that site's
+expectations, by matrix products.  The live starts' per-term expectations
+are held in one ``(n, S, T)`` array and the qubit sites' Bloch vectors in
+one ``(n_q, S, 3)`` array.  So after every sweep one pass checks that each
+qubit row is a unit vector to 1e-12 (NaN fails), one more pass does so for
+each other site, and each array is compacted once when starts stop.  No
+global-optimality claim is attached to the outcome; results carry restart
+counts, the number of starts that reached the best value, and convergence
+flags instead.
 
 k-separable relaxations reuse the same iteration with sites grouped into
 blocks: a block behaves as a single site of the product dimension and its
@@ -111,8 +117,8 @@ class ObservableSum:
 
     The terms are held stacked, as the sweep reads them: ``coefficients``
     of shape (T,) and, per site s, one factor stack of shape (T, d_s, d_s)
-    in ``factor_stacks``.  Factors must be Hermitian and consistently
-    shaped per site; at least two parties and one term.
+    in ``factor_stacks``.  Factors must be finite, Hermitian and
+    consistently shaped per site; at least two parties and one term.
     """
 
     def __init__(
@@ -153,7 +159,10 @@ class ObservableSum:
         for stack in factor_stacks:
             if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
                 raise ValueError("factors must be square matrices")
-            if np.abs(stack - stack.conj().transpose(0, 2, 1)).max() > 1e-10:
+            if not np.isfinite(stack).all():
+                raise ValueError("factors must be finite")
+            # written so that a NaN difference fails it too
+            if not np.abs(stack - stack.conj().transpose(0, 2, 1)).max() <= 1e-10:
                 raise ValueError("factors must be Hermitian")
         self.coefficients: np.ndarray = coeffs
         self.factor_stacks: tuple[np.ndarray, ...] = factor_stacks
@@ -201,10 +210,10 @@ class ObservableSum:
         flat = [p for b in blocks for p in b]
         if sorted(flat) != list(range(self.parties)) or not all(blocks):
             raise ValueError("invalid partition: blocks must cover all parties disjointly")
-        return ObservableSum._stacked(
-            self.coefficients,
-            tuple(_kron_stack([self.factor_stacks[p] for p in b]) for b in blocks),
-        )
+        # a product that overflows is rejected as a non-finite factor
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacks = tuple(_kron_stack([self.factor_stacks[p] for p in b]) for b in blocks)
+        return ObservableSum._stacked(self.coefficients, stacks)
 
 
 class ProductState:
@@ -341,10 +350,11 @@ def _bloch_spinors(r: np.ndarray) -> np.ndarray:
     x, y, z = r.T
     big = np.sqrt((1.0 + np.abs(z)) / 2.0)
     small = (x + 1j * y) / (2.0 * big)
-    upper = (z >= 0.0)[:, None]
-    return np.where(
-        upper, np.stack([big, small], axis=-1), np.stack([small.conj(), big], axis=-1)
-    )
+    upper = z >= 0.0
+    spinors = np.empty((len(r), 2), dtype=complex)
+    spinors[:, 0] = np.where(upper, big, small.conj())
+    spinors[:, 1] = np.where(upper, small, big)
+    return spinors
 
 
 class _QubitSite:
@@ -382,29 +392,40 @@ class _QubitSite:
         h = gh[:, 1:]
         size = np.sqrt(np.einsum("sa,sa->s", h, h))
         top = gh[:, 0] + size
-        moved = 2.0 * size > _DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
-        if moved.all():
+        # every row moves when the smallest |h| clears the largest bound
+        if 2.0 * size.min() > _DEGENERACY_TOL * max(1.0, np.abs(top).max()):
             return h / size[:, None]
+        moved = 2.0 * size > _DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
         return np.where(moved[:, None], h / np.where(moved, size, 1.0)[:, None], r)
 
     vectors = staticmethod(_bloch_spinors)
 
 
 class _VectorSite:
-    """A site of any dimension held as complex unit vectors ``(S, d)``."""
+    """A site of any dimension held as complex unit vectors ``(S, d)``.
+
+    Both contractions are matrix products: the effective operators are the
+    weights times the factors flattened to ``(T, d*d)``, and v^H o_t for
+    every term is v^H times the factors laid side by side, ``(d, T*d)``.
+    """
 
     def __init__(self, factors: np.ndarray) -> None:
-        self.factors = factors
+        t, d, _ = factors.shape
+        self.flat = factors.reshape(t, d * d)
+        self.side_by_side = factors.transpose(1, 0, 2).reshape(d, t * d)
 
     @staticmethod
     def state(vecs: np.ndarray) -> np.ndarray:
         return vecs
 
     def expectations(self, vecs: np.ndarray) -> np.ndarray:
-        return _site_expectations(self.factors, vecs)
+        s, d = vecs.shape
+        rows = (vecs.conj() @ self.side_by_side).reshape(s, -1, d)
+        return (rows @ vecs[:, :, None])[:, :, 0].real
 
     def update(self, weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        eff = np.einsum("...t,tij->...ij", weights, self.factors)
+        d = vecs.shape[1]
+        eff = (weights @ self.flat).reshape(-1, d, d)
         return _top_eigenvector(eff, vecs)
 
     @staticmethod
@@ -420,6 +441,7 @@ def _term_values(coeffs: np.ndarray, expectations: Sequence[np.ndarray]) -> np.n
 
 
 def _require_unit(vectors: Sequence[np.ndarray]) -> None:
+    """Raise unless every row of every array is a unit vector; NaN fails."""
     for v in vectors:
         norms = np.sqrt(np.einsum("...i,...i->...", v.conj(), v).real)
         if not (np.abs(norms - 1.0) <= _UNIT_TOL).all():
@@ -451,6 +473,18 @@ def _sweep_starts(dims: tuple[int, ...], seed: int) -> tuple[np.ndarray, ...]:
     return states
 
 
+def _per_site(
+    qubits: Sequence[int], bloch: np.ndarray, others: Sequence[int], vectors: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Site k's array: row q of ``bloch`` for ``qubits[q]``, else its own."""
+    per_site = [None] * (len(qubits) + len(others))
+    for q, k in enumerate(qubits):
+        per_site[k] = bloch[q]
+    for x, k in zip(vectors, others):
+        per_site[k] = x
+    return per_site
+
+
 def _lockstep_sweeps(
     coeffs: np.ndarray, sites: Sequence, states: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -460,31 +494,53 @@ def _lockstep_sweeps(
     (``_sweep_form``): Bloch vectors on qubits (``_QubitSite``), the
     vectors themselves elsewhere (``_VectorSite``).  A site maps states to
     per-term expectations (``expectations``) and term weights to the next
-    states (``update``).  A start leaves the active set at the first sweep
-    that gains less than ``_SWEEP_TOL``; the rest advance together.  The
-    given arrays are only read.  Returns the final values, states and
-    convergence flags per start.
+    states (``update``).  The live starts' expectations are held in one
+    ``(n, S, T)`` array and the qubit sites' Bloch vectors in one
+    ``(n_q, S, 3)`` array, so that each sweep checks every qubit row
+    against ``_UNIT_TOL`` in one pass (each other site in one more) and
+    compacts each array once.  Its value is the last site's weights,
+    c_t prod_{s < n} e_{s,t}, times that site's new expectations, summed:
+    the product of ``_term_values``, bit for bit, without forming it again.
+    A start leaves the active set at the first sweep that gains less than
+    ``_SWEEP_TOL``; the rest advance together.  The given arrays are only
+    read.  Returns the final values, states and convergence flags per
+    start.
     """
-    states = list(states)
+    qubits = [k for k, site in enumerate(sites) if isinstance(site, _QubitSite)]
+    others = [k for k in range(len(sites)) if k not in qubits]
     count = states[0].shape[0]
+    bloch = np.array([states[k] for k in qubits]).reshape(len(qubits), count, 3)
+    vectors = [states[k].copy() for k in others]
+    # each site's live states, written in place: a row of ``bloch`` or one
+    # of ``vectors``
+    held = _per_site(qubits, bloch, others, vectors)
+    out_bloch, out_vectors = bloch.copy(), [x.copy() for x in vectors]
     values = np.empty(count)
     converged = np.zeros(count, dtype=bool)
-    out = [x.copy() for x in states]
     live = np.arange(count)
-    expectations = [site.expectations(x) for site, x in zip(sites, states)]
+    expectations = np.stack([site.expectations(x) for site, x in zip(sites, held)])
     value = _term_values(coeffs, expectations)
     for _ in range(_MAX_SWEEPS):
+        # c_t prod_{s < k} e_{s,t} over the sites already updated in this
+        # sweep: site k's weights multiply the rest onto it in the order of
+        # _site_weights, and after the last site it is _term_values' product
+        prefix = coeffs
         for k, site in enumerate(sites):
-            states[k] = site.update(_site_weights(coeffs, expectations, k), states[k])
-            expectations[k] = site.expectations(states[k])
-        _require_unit(states)
-        new_value = _term_values(coeffs, expectations)
+            weights = prefix
+            for e in expectations[k + 1:]:
+                weights = weights * e
+            held[k][...] = site.update(weights, held[k])
+            expectations[k] = site.expectations(held[k])
+            prefix = prefix * expectations[k]
+        _require_unit([bloch, *vectors])
+        new_value = prefix.sum(axis=-1)
         done = new_value - value < _SWEEP_TOL
         value = new_value
         if not done.any():
             continue
         rows = live[done]
-        for x, o in zip(states, out):
+        out_bloch[:, rows] = bloch[:, done]
+        for x, o in zip(vectors, out_vectors):
             o[rows] = x[done]
         values[rows] = value[done]
         converged[rows] = True
@@ -492,13 +548,15 @@ def _lockstep_sweeps(
         live, value = live[keep], value[keep]
         if live.size == 0:
             break
-        states = [x[keep] for x in states]
-        expectations = [e[keep] for e in expectations]
+        bloch, expectations = bloch[:, keep], expectations[:, keep]
+        vectors = [x[keep] for x in vectors]
+        held = _per_site(qubits, bloch, others, vectors)
     else:
-        for x, o in zip(states, out):
+        out_bloch[:, live] = bloch
+        for x, o in zip(vectors, out_vectors):
             o[live] = x
         values[live] = value
-    return values, out, converged
+    return values, _per_site(qubits, out_bloch, others, out_vectors), converged
 
 
 def _best_start(

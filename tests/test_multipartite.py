@@ -1,5 +1,6 @@
 """Product-state optimization: sweeps, blocks, and the coefficient search."""
 
+import hashlib
 import itertools
 import math
 
@@ -260,6 +261,32 @@ def test_observable_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_observable_rejects_non_finite_factors(bad):
+    z = PAULI["Z"]
+    qubit = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        mp.ObservableSum([(1.0, [qubit, z]), (0.5, [z, z])])
+    off_diagonal = np.array([[0.0, bad], [np.conj(bad), 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        mp.ObservableSum([(1.0, [z, off_diagonal])])
+    qutrit = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    qutrit[1, 1] = bad
+    lam8 = gell_mann_basis(3).operators[8]
+    with pytest.raises(ValueError, match="finite"):
+        mp.ObservableSum([(1.0, [lam8, lam8]), (0.5, [lam8, qutrit])])
+
+
+def test_blocked_rejects_factors_that_overflow():
+    # 1e200 Z (x) 1e200 Z overflows to inf on the diagonal of the block
+    big = 1e200 * PAULI["Z"]
+    obs = mp.ObservableSum([(1.0, [big, big, PAULI["X"]])])
+    with pytest.raises(ValueError, match="finite"):
+        obs.blocked([[0, 1], [2]])
+    with pytest.raises(ValueError, match="finite"):
+        mp.k_separable_lambda_max(obs, [[0, 1], [2]])
+
+
 def test_product_state_validation():
     with pytest.raises(ValueError, match="unit"):
         mp.ProductState([np.array([1.0, 1.0]), np.array([1.0, 0.0])])
@@ -279,6 +306,43 @@ def test_sweep_unit_check_rejects_nan_rows():
         rows[1] = bad
         with pytest.raises(ValueError, match="unit"):
             mp._require_unit([good, rows])
+
+
+def _sweep_with_a_bad_row(monkeypatch, obs, site, spoil):
+    """Sweep with site ``site``'s update spoiling its middle row each time."""
+    sites = mp._sites(obs)
+    update = sites[site].update
+
+    def spoiled(weights, x):
+        out = update(weights, x).copy()
+        out[len(out) // 2] = spoil(out[len(out) // 2])
+        return out
+
+    monkeypatch.setattr(sites[site], "update", spoiled)
+    return mp._lockstep_sweeps(
+        obs.coefficients, sites, mp._sweep_form(mp._starts(obs.dims, 11))
+    )
+
+
+@pytest.mark.parametrize(
+    "case, site",
+    [("qubits0", 1), ("mixed", 2), ("mixed", 1), ("blocked", 0)],
+)
+def test_the_stacked_unit_check_is_no_weaker(monkeypatch, case, site):
+    # the middle qubit of the Bloch stack, the last qubit beside a qutrit,
+    # the qutrit, and a block of two qubits; a NaN row before an eigensolve
+    # fails that eigensolve first, so the spoiled site precedes qubits only
+    obs = dict(_lockstep_cases())[case]
+    for spoil in (
+        lambda row: np.where(np.arange(row.size) == 0, np.nan, row),
+        lambda row: row * (1.0 + 1e-11),
+    ):
+        with pytest.raises(ValueError, match="unit vectors"):
+            _sweep_with_a_bad_row(monkeypatch, obs, site, spoil)
+    values, _, converged = _sweep_with_a_bad_row(
+        monkeypatch, obs, site, lambda row: row * (1.0 + 1e-13)
+    )
+    assert np.isfinite(values).all() and converged.all()
 
 
 def test_product_expectations_respect_separable_bound():
@@ -684,6 +748,117 @@ def test_best_starts_is_scale_free():
     # ZZZ reaches 1 from every start that is a Z eigenvector product of even parity
     zzz = mp.spi_lambda_max(mp.ObservableSum.from_pauli_strings([(1.0, "ZZZ")]))
     assert 1 < zzz.best_starts < zzz.restarts_used
+
+
+# spi_lambda_max at commit b40ab6b, before the sweep stacked its states:
+# lambda_max in hex, the first 16 hex digits of the SHA-256 of the optimizer's
+# bytes, restarts_used, converged and best_starts.  The random observables are
+# those of the spi_search benchmark (the acceptance test's generator, seed 3).
+SPI_PINS = [
+    ("random0", [
+        (-0.6353359086985838, "IIZ"),
+        (-0.8142040059864502, "IXX"),
+        (-0.37957041394498237, "ZII"),
+        (-0.6617181278349545, "ZYI"),
+    ], "0x1.b5dbc6e75e5eap+0", "1c7601a4b649ba2c", 224, True, 66),
+    ("random1", [
+        (-0.3010430584561853, "XXY"),
+        (0.9814221923364888, "YIY"),
+        (-0.5197902014240358, "YYZ"),
+        (0.92419774931161, "ZZZ"),
+    ], "0x1.1c4e7b6fb6cebp+0", "32f9eaf674dfcca2", 224, True, 72),
+    ("random2", [
+        (-0.7623500471995264, "IXY"),
+        (0.9520246983189482, "IZX"),
+        (-0.74106313984974, "YIX"),
+        (-0.5087141634601973, "YXX"),
+    ], "0x1.dd6bde306c00cp+0", "a7c26a70ea5bbd99", 224, True, 144),
+    ("random3", [
+        (0.6000010330089234, "IYI"),
+        (-0.8310938228084432, "YIX"),
+        (0.37162394534545207, "YXY"),
+        (0.8948378362263076, "ZZY"),
+    ], "0x1.6e5c3b83359cep+0", "78fdf2b86663fbb0", 224, True, 136),
+    ("random4", [
+        (-0.6932668031116229, "XII"),
+        (-0.5797593547913169, "XZX"),
+        (0.4376474678404866, "YZI"),
+        (-0.4262012785901666, "YZX"),
+    ], "0x1.89d7e60ef7d0ap+0", "d546ab75952a83e6", 224, True, 56),
+    ("random5", [
+        (-0.9750504046259958, "XYZ"),
+        (0.7365849096743062, "XZY"),
+        (0.9793911341928365, "YIZ"),
+        (-0.8509228996521396, "ZXI"),
+    ], "0x1.61cae6a9c23e0p+0", "b07a10c0fd0e61af", 224, True, 56),
+    ("random6", [
+        (0.3887284858028138, "IXI"),
+        (-0.5077304378726146, "YIY"),
+        (-0.8946222878326757, "YXI"),
+        (0.9756619945861629, "ZZI"),
+    ], "0x1.ca844c5be8492p+0", "915e633af8b7e6e9", 224, True, 149),
+    ("random7", [
+        (-0.7127902007454457, "XYY"),
+        (0.7686732967991655, "YII"),
+        (0.6661348428680994, "YYZ"),
+        (0.6883162027255625, "YZI"),
+    ], "0x1.b9febcd55b459p+0", "585f3b00878720fa", 224, True, 104),
+    ("ZZZ", [
+        (1.0, "ZZZ"),
+    ], "0x1.0000000000000p+0", "f95bc6ef57612d10", 224, True, 64),
+    ("GHZ", [
+        (1.0, "XXX"),
+        (1.0, "ZZI"),
+        (1.0, "ZIZ"),
+        (1.0, "IZZ"),
+    ], "0x1.8000000000000p+1", "f95bc6ef57612d10", 224, True, 152),
+    ("four_qubit", [
+        (1.0, "XXXX"),
+        (0.5, "ZZII"),
+        (0.7, "IZZI"),
+        (-0.3, "YYZZ"),
+    ], "0x1.3333333333333p+0", "08d95ca4bff64239", 224, True, 127),
+    ("mermin", [
+        (1.0, "XXX"),
+        (-1.0, "XYY"),
+        (-1.0, "YXY"),
+        (-1.0, "YYX"),
+    ], "0x1.0000000000002p+0", "c9664aaf14855689", 224, True, 168),
+]
+# the cases of _lockstep_cases in the same form; sites that are not qubits
+# are eigensolved, so only their value, flags and counts are pinned
+LOCKSTEP_PINS = {
+    "qubits0": ("0x1.45f5f18d6d19cp+0", "294ef26ac1a576f6", 224, True, 108),
+    "qubits1": ("0x1.7a35de24b0544p+0", "735678e0ac2a8164", 224, True, 144),
+    "qubits2": ("0x1.0d24293e1e3e4p+0", "0ab843b3196c0a16", 224, True, 8),
+    "qutrits": ("0x1.072ed5c882d68p+1", None, 224, True, 134),
+    "blocked": ("0x1.34fa9ff330e68p+0", None, 224, True, 128),
+    "mixed": ("0x1.1d9ae272d8221p+0", None, 224, True, 6),
+}
+
+def _digest(state):
+    return hashlib.sha256(b"".join(v.tobytes() for v in state.vectors)).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, terms, lam, digest, restarts, converged, best", SPI_PINS)
+def test_qubit_searches_keep_their_bits(name, terms, lam, digest, restarts, converged, best):
+    res = mp.spi_lambda_max(mp.ObservableSum.from_pauli_strings(terms))
+    assert res.lambda_max == float.fromhex(lam)
+    assert _digest(res.optimizer) == digest
+    assert (res.restarts_used, res.converged, res.best_starts) == (restarts, converged, best)
+
+
+@pytest.mark.parametrize("name, obs", _lockstep_cases())
+def test_lockstep_cases_keep_their_values(name, obs):
+    lam, digest, restarts, converged, best = LOCKSTEP_PINS[name]
+    res = mp.spi_lambda_max(obs)
+    assert (res.restarts_used, res.converged, res.best_starts) == (restarts, converged, best)
+    want = float.fromhex(lam)
+    if digest is None:
+        assert abs(res.lambda_max - want) <= 1e-15 * max(1.0, abs(want))
+    else:
+        assert res.lambda_max == want
+        assert _digest(res.optimizer) == digest
 
 
 # -- ne_multipartite ----------------------------------------------------------------
