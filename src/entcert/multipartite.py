@@ -518,7 +518,7 @@ def _lockstep_sweeps(
     values = np.empty(count)
     converged = np.zeros(count, dtype=bool)
     live = np.arange(count)
-    expectations = np.stack([site.expectations(x) for site, x in zip(sites, held)])
+    expectations = np.array([site.expectations(x) for site, x in zip(sites, held)])
     value = _term_values(coeffs, expectations)
     for _ in range(_MAX_SWEEPS):
         # c_t prod_{s < k} e_{s,t} over the sites already updated in this
@@ -532,7 +532,7 @@ def _lockstep_sweeps(
             held[k][...] = site.update(weights, held[k])
             expectations[k] = site.expectations(held[k])
             prefix = prefix * expectations[k]
-        _require_unit([bloch, *vectors])
+        _require_unit([bloch, *vectors] if qubits else vectors)
         new_value = prefix.sum(axis=-1)
         done = new_value - value < _SWEEP_TOL
         value = new_value
