@@ -73,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import VALUE_CAP
-from .qmodel import PAULI, gell_mann_basis
+from .qmodel import PAULI, _read_int, gell_mann_basis
 from .witness import ne_verdict
 
 _UNIT_TOL = 1e-12
@@ -498,9 +498,11 @@ def _lockstep_sweeps(
     ``(n, S, T)`` array and the qubit sites' Bloch vectors in one
     ``(n_q, S, 3)`` array, so that each sweep checks every qubit row
     against ``_UNIT_TOL`` in one pass (each other site in one more) and
-    compacts each array once.  Its value is the last site's weights,
-    c_t prod_{s < n} e_{s,t}, times that site's new expectations, summed:
-    the product of ``_term_values``, bit for bit, without forming it again.
+    compacts each array once; an eigensolve that a NaN row fails before
+    that check runs the check at once, so the error is the same.  Its
+    value is the last site's weights, c_t prod_{s < n} e_{s,t}, times that
+    site's new expectations, summed: the product of ``_term_values``, bit
+    for bit, without forming it again.
     A start leaves the active set at the first sweep that gains less than
     ``_SWEEP_TOL``; the rest advance together.  The given arrays are only
     read.  Returns the final values, states and convergence flags per
@@ -529,7 +531,13 @@ def _lockstep_sweeps(
             weights = prefix
             for e in expectations[k + 1:]:
                 weights = weights * e
-            held[k][...] = site.update(weights, held[k])
+            try:
+                held[k][...] = site.update(weights, held[k])
+            except np.linalg.LinAlgError:
+                # a NaN row of a site updated earlier in this sweep fails
+                # this eigensolve before the unit check below reads it
+                _require_unit([bloch, *vectors] if qubits else vectors)
+                raise
             expectations[k] = site.expectations(held[k])
             prefix = prefix * expectations[k]
         _require_unit([bloch, *vectors] if qubits else vectors)
@@ -595,12 +603,12 @@ def spi_lambda_max(obs: ObservableSum, seed: int = 11) -> SPIResult:
     effective operator (ties resolved toward the current vector), which
     never decreases the objective.  All starts advance in lockstep, each
     stopping at its own first sweep that gains less than ``_SWEEP_TOL``;
-    the first start reaching the best value is reported.  ``seed``, a
-    non-negative int, draws the random starts; the multistart of each
-    ``(obs.dims, seed)`` is built once and kept.
+    the first start reaching the best value is reported.  ``seed``, an
+    int >= 0 read as ``qmodel`` reads its seeds (a numpy integer counts, a
+    bool or a float does not), draws the random starts; the multistart of
+    each ``(obs.dims, seed)`` is built once and kept.
     """
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a non-negative int, not {seed!r}")
+    seed = _read_int("seed", seed, 0)
     return _best_start(obs.coefficients, _sites(obs), _sweep_starts(obs.dims, seed))
 
 

@@ -30,8 +30,13 @@ class and returns ``ne_solve`` on it: every qubit support of one to three
 cells takes no Newton step.  Among General sets the solver also takes a
 complete block, a component that fills every cell of the rows and columns
 it spans (a full 2 x 2 square, two full rows, the whole grid), in closed
-form, as the nuclear norm of its data; only the other components, such as
-the staircase XX,XY,YY,YZ, take its barrier path.
+form, as the nuclear norm of its data.  It first merges sibling leaves,
+two or more cells of a row whose columns hold no other cell, beside
+another cell of the row (or the same in a column), into one cell that
+holds the norm of their data: the fork XX,XY,XZ,YX is the corner
+XX,XY,YX on (XX, hypot(XY, XZ), YX).  Only the components that are
+neither lines, corners nor complete blocks once merged, such as the
+staircase XX,XY,YY,YZ, take its barrier path.
 """
 
 from __future__ import annotations

@@ -434,15 +434,14 @@ def sample_separable(
     """Convex mixture of Haar-random pure product states.
 
     ``d`` is the first local dimension; ``d_b`` defaults to ``d``.
-    Mixture weights are uniform Dirichlet.  Deterministic given ``seed``,
-    an int >= 0, and a seed keeps its state: after the ``terms`` weights, each term
+    ``terms``, an int >= 1, is the number of product states mixed, with
+    uniform Dirichlet weights.  Deterministic given ``seed``, an int >= 0,
+    and a seed keeps its state: after the ``terms`` weights, each term
     takes 2(d + d_b) standard normals from ``default_rng(seed)``, in the
     order real and imaginary parts of the first factor, then those of the
     second.
     """
-    integral = isinstance(terms, (int, np.integer)) and not isinstance(terms, bool)
-    if not integral or terms < 1:
-        raise ValueError(f"terms must be a positive int, got {terms!r}")
+    terms = _read_int("terms", terms, 1)
     d, db = read_dims((d, d if d_b is None else d_b))
     rng = np.random.default_rng(_read_int("seed", seed, 0))
     weights = rng.dirichlet(np.ones(terms))

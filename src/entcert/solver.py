@@ -75,14 +75,37 @@ loses to roundoff.  A zero block keeps zero coefficients.  Each block is
 scaled by a power of two as a corner is, and one SVD call serves the
 row-major (N, r, c) stack of a block's data in all N grids.
 
+Before the support is split, sibling leaves are merged.  A leaf of a row
+is a cell whose column holds no other cell, and two or more leaves of a
+row that also holds another cell are siblings; so are two or more leaves
+of a column (cells whose rows hold nothing else) beside another cell of
+it.  A group of p siblings is replaced by one cell, its representative,
+holding r = hypot(v_1, ..., v_p).  The reduction is exact: right-multiplying
+C by an orthogonal map on the group's columns keeps ||C||_inf and the
+support's shape and turns the group's data into (r, 0, ..., 0), and a
+column with zero data can be zeroed without raising ||C||_inf.  So the
+optimum on the merged support is that of the whole support, and
+c_member = c_rep * v_member / r (0 where r = 0) reaches it there.  A row
+of leaves alone is a line and is left as it is, and no line, corner or
+complete block holds siblings, so every support without them keeps its
+bits.  A merged component of three cells is a corner: the fork
+[[a, b, c], [d, ., .]] takes the corner's closed form on (a, hypot(b, c),
+d).  Each group's norm is taken on its data scaled by a power of two, as
+a corner's is, so that v / r stays a unit vector on subnormal data.  The
+witness bound is still one SVD of the full coefficients, so its soundness
+does not rest on the merge.
+
 Every other component goes into one sub-support, which follows the path
 above with nu still counting the whole grid: the blocks it holds have side
 at most nu, so nu * mu still bounds its gap.  Only that part is polished.
 A support made of lines, corners and complete blocks alone, or whose other
 components hold zero data, takes no Newton step and reports gap 0; so do
 every qubit support of at most three cells and every full grid.  Of 50
-random qubit supports of 2-9 cells, 29 keep a component for the path,
-which takes about 34 steps on average; 7 more hold a complete block.
+random qubit supports of 2-9 cells, 28 keep a component for the path,
+which takes about 34 steps on average; 7 more hold a complete block.  On
+supports of 2-6 cells in local dimensions 2 and 3, as the separable
+soundness test draws them, the merge takes 7 of every 15 path solves off
+the path (700 of 1,500 in 4,000 solves on 40 supports).
 
 The stage objective is self-concordant, so the damped Newton step of
 length 1 / (1 + lambda), with lambda the Newton decrement, stays inside the
@@ -113,8 +136,9 @@ stack by ``ne_solve_batch`` (a sweep over angles is such a stack).  The
 Newton kernels take one grid or a stack: one lockstep step is one stacked
 Cholesky factorization of the (N, s, s) active blocks, one stacked inverse
 of their factors and one stacked (N, k, k) solve for the Newton steps.  The
-stack shares its split into lines, corners, complete blocks and the path's
-sub-support, and the closed forms work elementwise.  Each grid keeps its
+stack shares its merge of sibling leaves and its split into lines,
+corners, complete blocks and the path's sub-support, and the merge and the
+closed forms work elementwise.  Each grid keeps its
 own mu, step count and stop, so its iterates are exactly those of solving
 it alone; a grid that has stopped stays in every stacked call, masked, and
 takes zero steps.  A grid whose step the roundoff guard must shorten is
@@ -146,8 +170,10 @@ ignores the invalid, overflow, divide and underflow flags, as numpy's
 functions do around the same calls.
 
 What a solve derives from (dims, support) alone, before it reads any
-data, is the support's plan: t, m and n; the lines' positions, with the
-offsets and sizes that ``reduceat`` takes; the corner triples; each
+data, is the support's plan: t, m and n; the positions the merged support
+keeps, and the groups of sibling leaves with their ``reduceat`` offsets,
+sizes and representatives; and on the merged support, the lines'
+positions, with their offsets and sizes; the corner triples; each
 complete block's row-major positions; and the path's cells and their
 positions.  Supports repeat: the separable soundness test solves 100
 grids on each, and a sweep or a bisection solves one again and again.
@@ -170,7 +196,9 @@ names the stage mu the path had reached.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Iterable, NamedTuple, Sequence
 
@@ -492,12 +520,52 @@ def _positions(positions: object) -> np.ndarray:
     return out
 
 
+def _sibling_leaves(support: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Positions of each group of sibling leaves, its representative first.
+
+    A leaf of a row is a cell whose column holds no other cell; two or more
+    leaves of a row that also holds another cell are siblings.  So are the
+    leaves of a column, cells whose rows hold no other cell.  A row of
+    leaves alone is a line and forms no group.
+    """
+    row_count = Counter(i for i, _ in support)
+    col_count = Counter(j for _, j in support)
+    leaves: dict[tuple[int, int], list[int]] = {}
+    for k, (i, j) in enumerate(support):
+        # only a row (column) of three or more cells can hold siblings
+        if col_count[j] == 1 and row_count[i] > 2:
+            leaves.setdefault((0, i), []).append(k)
+        elif row_count[i] == 1 and col_count[j] > 2:
+            leaves.setdefault((1, j), []).append(k)
+    counts = (row_count, col_count)
+    return [
+        group for (axis, index), group in leaves.items()
+        if 1 < len(group) < counts[axis][index]
+    ]
+
+
+class _Merge(NamedTuple):
+    """A support's groups of sibling leaves, each merged into its
+    representative."""
+
+    kept: np.ndarray  # the positions of the merged support's cells
+    members: np.ndarray  # each group's positions, group after group
+    starts: np.ndarray  # the reduceat offset of each group in ``members``
+    sizes: np.ndarray
+    reps: np.ndarray  # each group's representative, as a position in ``kept``
+
+
 class _Plan(NamedTuple):
-    """What a solve derives from (dims, support) alone, before any data."""
+    """What a solve derives from (dims, support) alone, before any data.
+
+    The positions from ``lines`` on index the values on the merged support
+    (the support itself where ``merge`` is None).
+    """
 
     t: float
     m: int
     n: int
+    merge: _Merge | None  # None where no sibling leaves merge
     lines: np.ndarray  # the lines' positions, line after line
     line_starts: np.ndarray  # the reduceat offset of each line in ``lines``
     line_sizes: np.ndarray
@@ -507,22 +575,41 @@ class _Plan(NamedTuple):
     rest: np.ndarray
 
 
+def _offsets(sizes: list[int]) -> np.ndarray:
+    """The ``reduceat`` offsets of consecutive runs of ``sizes``."""
+    return _positions(list(itertools.accumulate(sizes[:-1], initial=0)))
+
+
 @functools.lru_cache(maxsize=_CACHED_PLANS)
 def _plan(dims: tuple[int, int], support: tuple[tuple[int, int], ...]) -> _Plan:
     """The plan of ``support``: built once per key and shared."""
     da, db = dims
     t = 1.0 / math.sqrt((da - 1) * (db - 1))
-    lines, corners, blocks, rest = _components(support)
+    groups = _sibling_leaves(support)
+    merge, merged = None, support
+    if groups:
+        dropped = {k for group in groups for k in group[1:]}
+        kept = [k for k in range(len(support)) if k not in dropped]
+        merged = tuple(support[k] for k in kept)
+        group_sizes = [len(group) for group in groups]
+        merge = _Merge(
+            _positions(kept),
+            _positions([k for group in groups for k in group]),
+            _offsets(group_sizes),
+            _positions(group_sizes),
+            _positions([kept.index(group[0]) for group in groups]),
+        )
+    lines, corners, blocks, rest = _components(merged)
     sizes = [len(line) for line in lines]
-    cells = tuple(support[k] for k in rest)
     return _Plan(
         t, da * da - 1, db * db - 1,
+        merge,
         _positions([k for line in lines for k in line]),
-        _positions(np.cumsum([0] + sizes[:-1])),
+        _offsets(sizes),
         _positions(sizes),
         _positions(corners).reshape(-1, 3),
         tuple(map(_positions, blocks)),
-        cells,
+        tuple(merged[k] for k in rest),
         _positions(rest),
     )
 
@@ -531,6 +618,19 @@ def _unit_shift(peak: np.ndarray) -> np.ndarray:
     """The powers of two that put each nonzero ``peak`` in (0.5, 1]."""
     mantissa, exponent = np.frexp(peak)
     return exponent - (mantissa == 0.5)
+
+
+def _runs(
+    part: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The norm of each run of entries of ``part`` (N, k), with ``reduceat``
+    offsets ``starts`` and ``sizes``, and each run divided by its norm (a
+    zero run stays zero)."""
+    # hypot scales, so no square underflows; reduceat gives a one-entry run
+    # its own entry, hence abs
+    norms = np.hypot.reduceat(np.abs(part), starts, axis=1)
+    spread = np.repeat(norms, sizes, axis=1)
+    return norms, np.divide(part, spread, out=np.zeros(part.shape), where=spread > 0.0)
 
 
 def _corners(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -646,8 +746,52 @@ def _ne_solve_stack(
     """``ne_solve`` for each row of ``values`` (N, k), the correlators of a
     grid on ``support``, checked as ``CorrelatorGrid`` checks them."""
     opts = options or SolverOptions()
-    count = len(values)
     plan = _plan(dims, support)
+    merge = plan.merge
+    if merge is not None:
+        # each group of sibling leaves becomes one cell holding the norm r of
+        # its data, taken on the data scaled by the power of two that puts
+        # the group's largest |entry| in (0.5, 1]: on subnormal data the
+        # unscaled norm rounds so coarsely that v / r is no unit vector
+        starts, sizes = merge.starts, merge.sizes
+        grouped = np.ascontiguousarray(values[:, merge.members])
+        shift = _unit_shift(np.maximum.reduceat(np.abs(grouped), starts, axis=1))
+        scaled = np.ldexp(grouped, -np.repeat(shift, sizes, axis=1))
+        norms, unit = _runs(scaled, starts, sizes)
+        merged = np.ascontiguousarray(values[:, merge.kept])
+        merged[:, merge.reps] = np.ldexp(norms, shift)
+        part, ne, steps, gaps = _solve_merged(plan, dims, merged, opts)
+        # c_member = c_rep * v_member / r, zero on a zero group
+        coeffs = np.zeros(values.shape)
+        coeffs[:, merge.kept] = part
+        coeffs[:, merge.members] = np.repeat(part[:, merge.reps], sizes, axis=1) * unit
+    else:
+        coeffs, ne, steps, gaps = _solve_merged(plan, dims, values, opts)
+
+    # every feasible point is optimal on zero data; the witness needs a
+    # nonzero one
+    coeffs[~values.any(axis=1), 0] = plan.t
+    matrices = CoefficientMatrix.stack(dims, support, coeffs)
+    return [
+        NEResult(
+            value=value,
+            coefficients=matrix,
+            iterations=iterations,
+            gap=gap,
+            witness=make_witness_pair(matrix),
+        )
+        for value, matrix, iterations, gap in zip(
+            ne.tolist(), matrices, steps.tolist(), gaps.tolist()
+        )
+    ]
+
+
+def _solve_merged(
+    plan: _Plan, dims: tuple[int, int], values: np.ndarray, opts: SolverOptions
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients (N, k), optima, step counts and gaps of ``values``, the
+    data on the plan's merged support: the closed forms, then the path."""
+    count = len(values)
     t, cells, rest = plan.t, plan.cells, plan.rest
 
     # indexing columns with an index array gives a column-major array, so
@@ -657,13 +801,9 @@ def _ne_solve_stack(
     ne = np.zeros(count)
     if len(plan.lines):
         part = np.ascontiguousarray(values[:, plan.lines])
-        # hypot scales, so no square underflows; reduceat gives a one-cell
-        # line its own entry, hence abs
-        norms = np.hypot.reduceat(np.abs(part), plan.line_starts, axis=1)
+        norms, unit = _runs(part, plan.line_starts, plan.line_sizes)
         ne += t * norms.sum(axis=1)
-        spread = np.repeat(norms, plan.line_sizes, axis=1)
         # a zero line keeps zero coefficients
-        unit = np.divide(part, spread, out=np.zeros(part.shape), where=spread > 0.0)
         coeffs[:, plan.lines] = t * unit
     if len(plan.corners):
         optima, unit = _corners(np.ascontiguousarray(values[:, plan.corners]))
@@ -691,23 +831,7 @@ def _ne_solve_stack(
             coeffs[np.ix_(rows, rest)] = _polish(part[rows], paths, dims, cells, t)
         for row in rows:
             ne[row] += abs(float(part[row] @ coeffs[row, rest]))
-
-    # every feasible point is optimal on zero data; the witness needs a
-    # nonzero one
-    coeffs[~values.any(axis=1), 0] = t
-    matrices = CoefficientMatrix.stack(dims, support, coeffs)
-    return [
-        NEResult(
-            value=value,
-            coefficients=matrix,
-            iterations=iterations,
-            gap=gap,
-            witness=make_witness_pair(matrix),
-        )
-        for value, matrix, iterations, gap in zip(
-            ne.tolist(), matrices, steps.tolist(), gaps.tolist()
-        )
-    ]
+    return coeffs, ne, steps, gaps
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,7 @@ def test_spi_negative_seed_is_an_input_error(capsys):
     rc, out, err = _run(capsys, ["spi", "--observable", obs, "--seed=-1"])
     assert rc == 2
     assert out == ""
-    assert err.startswith("error:") and "seed must be a non-negative int, not -1" in err
+    assert err.startswith("error:") and "seed must be an int >= 0, got -1" in err
 
 
 def test_spi_reads_observable_file(capsys, tmp_path):

@@ -326,12 +326,12 @@ def _sweep_with_a_bad_row(monkeypatch, obs, site, spoil):
 
 @pytest.mark.parametrize(
     "case, site",
-    [("qubits0", 1), ("mixed", 2), ("mixed", 1), ("blocked", 0)],
+    [("qubits0", 1), ("mixed", 2), ("mixed", 1), ("blocked", 0), ("mixed", 0)],
 )
 def test_the_stacked_unit_check_is_no_weaker(monkeypatch, case, site):
     # the middle qubit of the Bloch stack, the last qubit beside a qutrit,
-    # the qutrit, and a block of two qubits; a NaN row before an eigensolve
-    # fails that eigensolve first, so the spoiled site precedes qubits only
+    # the qutrit, a block of two qubits, and the first qubit, whose NaN row
+    # reaches the qutrit's eigensolve before the sweep ends
     obs = dict(_lockstep_cases())[case]
     for spoil in (
         lambda row: np.where(np.arange(row.size) == 0, np.nan, row),
@@ -715,15 +715,29 @@ def test_the_multistart_cache_is_bounded():
         assert mp._sweep_starts.cache_info().currsize <= bound
 
 
-@pytest.mark.parametrize("seed", [None, -1, True, False, 1.0, "11", [1, 2], np.int64(3)])
+@pytest.mark.parametrize(
+    "seed", [None, -1, True, False, 1.0, "11", [1, 2], np.int64(-3), np.True_]
+)
 def test_spi_seed_must_be_a_non_negative_int(seed):
     obs = mp.ObservableSum.from_pauli_strings([(1.0, "ZZ")])
     mp._sweep_starts.cache_clear()
-    with pytest.raises(ValueError, match=r"seed must be a non-negative int, not "):
+    with pytest.raises(ValueError, match=r"seed must be an int >= 0, got "):
         mp.spi_lambda_max(obs, seed)
     # rejected before the cache is consulted
     assert mp._sweep_starts.cache_info().hits + mp._sweep_starts.cache_info().misses == 0
     assert mp.spi_lambda_max(obs, 0).lambda_max == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spi_reads_a_numpy_integer_seed_as_its_int():
+    # the seed is read as every sampling seed in qmodel is read
+    obs = mp.ObservableSum.from_pauli_strings([(1.0, "XZ"), (0.5, "ZY"), (0.25, "YY")])
+    for seed in (np.int64(4), np.uint8(4), np.int32(4)):
+        mp._sweep_starts.cache_clear()
+        got, want = mp.spi_lambda_max(obs, seed), mp.spi_lambda_max(obs, 4)
+        assert got.lambda_max.hex() == want.lambda_max.hex()
+        assert (got.restarts_used, got.best_starts) == (want.restarts_used, want.best_starts)
+        # both calls share one multistart, keyed by the int
+        assert mp._sweep_starts.cache_info().currsize == 1
 
 
 # -- starts that reach the best value --------------------------------------------

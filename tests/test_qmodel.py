@@ -219,7 +219,7 @@ def test_sample_separable_rejects_dimensions_below_two(d, d_b):
 
 @pytest.mark.parametrize("terms", [0, -1, True, False, 2.0, "2", None])
 def test_sample_separable_rejects_terms_that_are_not_positive_ints(terms):
-    with pytest.raises(ValueError, match="terms must be a positive int"):
+    with pytest.raises(ValueError, match=r"terms must be an int >= 1, got "):
         qm.sample_separable(2, terms, seed=0)
 
 

@@ -85,12 +85,30 @@ def test_worked_example_takes_few_damped_steps(monkeypatch):
     assert calls[0] == got.iterations + 1
 
 
+def _without_sibling_leaves(cells):
+    """The cells, less all but one of each row's leaves (cells alone in their
+    column) where the row holds two or more of them and another cell; and
+    the same for each column's leaves (cells alone in their row)."""
+    cells = set(cells)
+    dropped = set()
+    for axis in (0, 1):
+        for index in {cell[axis] for cell in cells}:
+            on_line = [cell for cell in cells if cell[axis] == index]
+            leaves = sorted(
+                cell for cell in on_line
+                if sum(other[1 - axis] == cell[1 - axis] for other in cells) == 1
+            )
+            if 1 < len(leaves) < len(on_line):
+                dropped.update(leaves[1:])
+    return cells - dropped
+
+
 def _has_block(cells):
-    """Whether some component of the cells (linked through shared rows or
-    columns) spans two rows and two columns, holds more than three cells and
-    leaves some cell of its rows and columns out, so that it is neither a
-    line, a corner nor a complete block."""
-    left = set(cells)
+    """Whether, once sibling leaves are merged, some component of the cells
+    (linked through shared rows or columns) spans two rows and two columns,
+    holds more than three cells and leaves some cell of its rows and columns
+    out, so that it is neither a line, a corner nor a complete block."""
+    left = _without_sibling_leaves(cells)
     while left:
         component = {left.pop()}
         frontier = list(component)
@@ -1365,3 +1383,191 @@ def test_a_plan_holds_each_part_read_only():
     for array in (plan.lines, plan.corners, block.base):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
+
+
+# -- sibling leaves ---------------------------------------------------------------
+
+
+def _corner_optimum(a, b, c):
+    """The qubit corner's optimum, a sharing its row with b and its column
+    with c: the smallest nuclear norm of [[a, b], [c, mu]]."""
+    if abs(b * c) < a * a:
+        return math.sqrt((a * a + b * b) * (a * a + c * c)) / abs(a)
+    return abs(b) + abs(c)
+
+
+# a fork: a shares its row with the sibling leaves b and c and its column
+# with d; and the same fork transposed
+FORK = ((0, 0), (0, 1), (0, 2), (1, 0))
+FORK_T = ((0, 0), (1, 0), (2, 0), (0, 1))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+def test_a_fork_takes_the_closed_form_of_its_merged_corner(monkeypatch, dims):
+    calls = _count_factorizations(monkeypatch)
+    rng = np.random.default_rng(149)
+    regimes = set()
+    for cells in (FORK, FORK_T):
+        for _ in range(40):
+            a, b, c, d = rng.uniform(-1.0, 1.0, size=4) * rng.choice([1.0, 0.1], size=4)
+            grid = CorrelatorGrid(dims, dict(zip(cells, (a, b, c, d))))
+            got = solver.ne_solve(grid)
+            assert (got.iterations, got.gap) == (0, 0.0)
+            r = math.hypot(b, c)
+            want = _t(dims) * _corner_optimum(a, r, d)
+            assert got.value == pytest.approx(want, rel=1e-14)
+            coeffs = dict(zip(got.coefficients.support, got.coefficients.coeffs))
+            attained = sum(coeffs[cell] * grid.value_at(cell) for cell in cells)
+            assert attained == pytest.approx(got.value, rel=1e-14)
+            assert got.coefficients.operator_norm() <= _t(dims) * (1.0 + 1e-15)
+            regimes.add(abs(r * d) < a * a)
+    assert regimes == {True, False}
+    assert calls[0] == 0
+
+
+def _mergeable(rng, dims, count):
+    """``count`` random supports of 2-9 cells on which some sibling leaves
+    merge, by the test's own merge."""
+    m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    supports = []
+    while len(supports) < count:
+        size = int(rng.integers(2, min(m * n, 9) + 1))
+        flat = rng.choice(m * n, size=size, replace=False)
+        support = tuple(sorted(divmod(int(f), n) for f in flat))
+        if len(_without_sibling_leaves(support)) < len(support):
+            supports.append(support)
+    return supports
+
+
+def test_merged_values_lie_within_the_gap_of_the_whole_support_path():
+    # the merge is exact: the optimum on the merged support is that of the
+    # whole support, which the whole support's barrier path brackets
+    rng = np.random.default_rng(151)
+    paths = closed = 0
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for support in _mergeable(rng, dims, 80):
+            v = rng.uniform(-1.0, 1.0, size=len(support))
+            grid = CorrelatorGrid(dims, dict(zip(support, v.tolist())))
+            got = solver.ne_solve(grid)
+            whole = _barrier(grid, support)
+            assert whole.value - whole.gap <= got.value <= whole.value + whole.gap, (
+                dims, support
+            )
+            assert got.coefficients.operator_norm() <= _t(dims) * (1.0 + 1e-12)
+            assert got.witness.bound <= 1.0 + 1e-12
+            paths += got.iterations > 0
+            closed += got.iterations == 0
+    assert paths > 30 and closed > 30
+
+
+def test_a_merge_that_stays_on_the_path_hands_the_path_fewer_cells(monkeypatch):
+    paths = []
+    maximize = solver._maximize
+
+    def recorded(v, support, m, n, t, opts):
+        paths.append(tuple(support))
+        return maximize(v, support, m, n, t, opts)
+
+    monkeypatch.setattr(solver, "_maximize", recorded)
+    staircase = [(0, 0), (0, 1), (1, 1), (1, 2)]
+    # the row leaves (0, 0), (0, 3) and (0, 4) merge into (0, 0); the column
+    # leaves (2, 2) and (3, 2) share their column with (1, 2), which is no
+    # leaf, and merge into (2, 2)
+    cells = staircase + [(0, 3), (0, 4), (2, 2), (3, 2)]
+    rng = np.random.default_rng(157)
+    for _ in range(10):
+        values = dict(zip(cells, rng.uniform(-1.0, 1.0, size=len(cells)).tolist()))
+        grid = CorrelatorGrid((3, 3), values)
+        got = solver.ne_solve(grid)
+        assert paths == [((0, 0), (0, 1), (1, 1), (1, 2), (2, 2))]
+        # the path runs on the merged data as on a grid of its own; each
+        # group's norm is taken cell after cell, in support order
+        merged = {
+            (0, 0): math.hypot(math.hypot(values[0, 0], values[0, 3]), values[0, 4]),
+            (0, 1): values[0, 1],
+            (1, 1): values[1, 1],
+            (1, 2): values[1, 2],
+            (2, 2): math.hypot(values[2, 2], values[3, 2]),
+        }
+        paths.clear()
+        alone = solver.ne_solve(CorrelatorGrid((3, 3), merged))
+        paths.clear()
+        assert (got.value, got.iterations, got.gap) == (
+            alone.value, alone.iterations, alone.gap
+        )
+        whole = _barrier(grid, cells)
+        paths.clear()
+        assert whole.value - whole.gap <= got.value <= whole.value + whole.gap
+        assert got.iterations > 0
+
+
+@pytest.mark.parametrize("leaf", [0.0, 5e-324, 1e-310])
+def test_zero_and_subnormal_groups_give_finite_coefficients(leaf):
+    # the fork's group, and a group beside a staircase that stays on the
+    # path, hold zero or subnormal data; the rest is of unit scale or as
+    # small as the group
+    cases = [
+        ((2, 2), dict(zip(FORK, (0.7, leaf, -leaf, -0.4)))),
+        ((2, 2), dict(zip(FORK, (leaf, leaf, -leaf, leaf)))),
+        ((3, 3), dict(zip(FORK_T, (-0.6, leaf, leaf, 0.9)))),
+        ((3, 3), {(0, 0): 0.9, (0, 1): -0.3, (1, 1): 0.8, (1, 2): 0.2,
+                  (2, 2): leaf, (3, 2): -leaf}),
+    ]
+    grids = [CorrelatorGrid(dims, values) for dims, values in cases]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = [solver.ne_solve(g) for g in grids]
+        stacked = solver.ne_solve_batch([grids[-1]] * 3)
+    for got in results + stacked:
+        coeffs = np.array(got.coefficients.coeffs)
+        assert np.isfinite(coeffs).all() and math.isfinite(got.value)
+        assert got.coefficients.operator_norm() <= _t(got.coefficients.dims) * (1.0 + 1e-12)
+        assert math.isfinite(got.witness.bound) and got.witness.bound <= 1.0 + 1e-12
+    # a zero group keeps zero coefficients, and the rest solves as without it
+    if leaf == 0.0:
+        fork = dict(zip(results[0].coefficients.support, results[0].coefficients.coeffs))
+        assert fork[0, 1] == fork[0, 2] == 0.0
+        corner = solver.ne_solve(CorrelatorGrid((2, 2), {(0, 0): 0.7, (1, 0): -0.4}))
+        assert results[0].value == corner.value
+    assert results[3].iterations > 0
+
+
+def test_merged_stacks_equal_each_grid_alone_bit_for_bit():
+    rng = np.random.default_rng(163)
+    paths = 0
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for support in _mergeable(rng, dims, 10):
+            rows = []
+            for kind in rng.integers(4, size=int(rng.integers(2, 12))):
+                if kind == 0:  # zero data on a random part of the support
+                    rows.append(rng.uniform(-1.0, 1.0, size=len(support)))
+                    rows[-1][rng.random(len(support)) < 0.5] = 0.0
+                elif kind == 1:  # +-1 values
+                    rows.append(rng.choice([-1.0, 1.0], size=len(support)))
+                else:
+                    rows.append(rng.uniform(-1.0, 1.0, size=len(support)))
+            rows.append(np.zeros(len(support)))
+            grids = [CorrelatorGrid(dims, dict(zip(support, r.tolist()))) for r in rows]
+            for grid, got in zip(grids, solver.ne_solve_batch(grids, support)):
+                alone = solver.ne_solve(grid, support)
+                assert _bits(got) == _bits(alone), (dims, support)
+                paths += alone.iterations > 0
+    assert paths > 50
+
+
+def test_a_plan_merges_sibling_leaves_into_read_only_groups():
+    # the fork's leaves (0, 1) and (0, 2) merge into (0, 1), leaving a corner;
+    # a line of leaves alone, (3, 3) and (3, 4), is no group
+    support = ((0, 0), (0, 1), (0, 2), (1, 0), (3, 3), (3, 4))
+    plan = solver._plan((3, 3), support)
+    merge = plan.merge
+    assert merge.kept.tolist() == [0, 1, 3, 4, 5]
+    assert merge.members.tolist() == [1, 2] and merge.starts.tolist() == [0]
+    assert merge.sizes.tolist() == [2] and merge.reps.tolist() == [1]
+    # the split's positions index the merged support
+    assert plan.corners.tolist() == [[0, 1, 2]] and plan.lines.tolist() == [3, 4]
+    assert plan.cells == ()
+    for name, value in {**plan._asdict(), **merge._asdict()}.items():
+        assert _read_only(value), name
+    # no group: nothing to merge
+    assert solver._plan((3, 3), support[:2] + support[3:]).merge is None
