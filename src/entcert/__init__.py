@@ -7,8 +7,10 @@ The package is organised around a single pipeline:
 
 with supporting operator algebra (qmodel), a product-state power iteration
 for the multipartite case (multipartite), and a command-line front end
-(cli).  numpy does all the linear algebra; the leftover ``smallmat`` module
-is imported by no other module and is kept only for the benchmark tracer.
+(cli).  numpy does all the linear algebra; where its public wrappers cost
+more than the arithmetic, the private ``_linalg`` module binds the LAPACK
+gufuncs behind them.  The leftover ``smallmat`` module is imported by no
+other module and is kept only for the benchmark tracer.
 """
 
 from __future__ import annotations

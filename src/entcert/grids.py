@@ -38,6 +38,8 @@ anything beyond |value| = 1.05 is rejected on ingestion and construction.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import operator
@@ -183,6 +185,20 @@ class CorrelatorGrid:
         skips the per-entry conversions of the constructor.
         """
         check_correlators(dims, cells, values)
+        return cls._unchecked(dims, cells, values)
+
+    @classmethod
+    def _full(cls, dims: tuple[int, int], values: np.ndarray) -> "CorrelatorGrid":
+        """Grid of ``values`` (m * n,) on every cell of ``dims``, row-major,
+        checked as ``_from_array`` checks them; the cells are built and
+        range-checked once per ``dims``."""
+        check_full_grid(dims, values)
+        return cls._unchecked(dims, _full_grid(dims)[0], values)
+
+    @classmethod
+    def _unchecked(
+        cls, dims: tuple[int, int], cells: Sequence[tuple[int, int]], values: np.ndarray
+    ) -> "CorrelatorGrid":
         grid = object.__new__(cls)
         object.__setattr__(grid, "dims", dims)
         object.__setattr__(grid, "values", dict(zip(cells, values.tolist())))
@@ -233,8 +249,39 @@ def check_correlators(
     grids (N, k).  The error names the first offending entry in row-major
     order, checking its cell, then its finiteness, then its magnitude.
     """
+    _check_values(dims, cells, values, _inside(dims, cells))
+
+
+def check_full_grid(dims: tuple[int, int], values: np.ndarray) -> None:
+    """``check_correlators`` on every cell of ``dims``, row-major, for one
+    grid's values (m * n,) or a stack (N, m * n).  The cells are built and
+    range-checked once per ``dims``; the values are checked on every call."""
+    cells, inside = _full_grid(dims)
+    _check_values(dims, cells, values, inside)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_grid(dims: tuple[int, int]) -> tuple[tuple[tuple[int, int], ...], list[bool]]:
+    """Every cell of ``dims``, row-major, and their range check; shared."""
     da, db = dims
-    ra, rb = da * da - 1, db * db - 1
+    cells = tuple(itertools.product(range(da * da - 1), range(db * db - 1)))
+    return cells, _inside(dims, cells)
+
+
+def _inside(dims: tuple[int, int], cells: Sequence[tuple[int, int]]) -> list[bool]:
+    """Whether each cell lies inside the basis range of ``dims``."""
+    ra, rb = dims[0] * dims[0] - 1, dims[1] * dims[1] - 1
+    return [0 <= i < ra and 0 <= j < rb for i, j in cells]
+
+
+def _check_values(
+    dims: tuple[int, int],
+    cells: Sequence[tuple[int, int]],
+    values: np.ndarray,
+    inside: list[bool],
+) -> None:
+    """``check_correlators``, given the range check ``inside`` of the cells."""
+    da, db = dims
     # physical magnitude bound for trace-normalized local bases; the 5%
     # headroom tolerates slightly out-of-range empirical estimates
     try:
@@ -242,7 +289,6 @@ def check_correlators(
     except OverflowError:
         raise ValueError("local dimensions are too large") from None
     values = np.asarray(values, dtype=float)
-    inside = [0 <= i < ra and 0 <= j < rb for i, j in cells]
     # NaN and infinities fail the comparisons too
     if all(inside) and np.abs(values).max() <= cap:
         return
@@ -422,17 +468,3 @@ def emit_grid(grid: CorrelatorGrid, format: str = "json") -> bytes:
             lines.append(f"{label},{render_float(grid.values[pair])}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {format!r}")
-
-
-# -- restriction --------------------------------------------------------------
-
-
-def restrict(grid: CorrelatorGrid, subset: Iterable[tuple[int, int]]) -> CorrelatorGrid:
-    """Grid containing exactly the requested measured entries.
-
-    ``subset`` is any iterable of cells, a ``MeasurementSet`` among them.
-    Every requested pair must be measured in ``grid``; a missing pair is an
-    error naming the offending correlator.  Restriction is idempotent.
-    """
-    support = read_support(grid.dims, subset)
-    return CorrelatorGrid(grid.dims, {cell: grid.value_at(cell) for cell in support})

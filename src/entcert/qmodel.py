@@ -27,7 +27,6 @@ one-angle result bit for bit.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grids import AXES, CorrelatorGrid, check_correlators, read_dims
+from .grids import AXES, CorrelatorGrid, check_full_grid, read_dims
 
 Array = np.ndarray
 
@@ -50,7 +49,6 @@ FAMILIES = ("bell", "psi_theta", "chi1", "chi3")
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _MAX_SHOTS = 2**63 - 1  # numpy draws the shot counts as int64
-_QUBIT_CELLS = tuple(itertools.product(range(3), range(3)))
 
 
 @dataclass(frozen=True)
@@ -357,21 +355,21 @@ def correlator_grid(
     """Full-support grid of ``rho``'s correlators.
 
     Ideal entries are one product of a contraction table, built once per
-    ``rho.dims`` and shared, with the flattened density matrix.
+    ``rho.dims`` and shared, with the flattened density matrix.  The grid's
+    cells are built and range-checked once per ``rho.dims`` too; its values
+    are checked on every call.
 
     With ``shots`` set (qubits only), every entry is an empirical mean over
     that many joint measurements; per-entry streams are derived
     deterministically from ``seed``.  Both are read as ints: shots in
     [1, 2^63 - 1], a seed >= 0.
     """
-    da, db = rho.dims
     if shots is None:
         values = _ideal_values(rho.matrix[None], rho.dims)[0]
     else:
         shots, seed = _read_sampling(rho.dims, shots, seed)
         values = _sampled_values(rho.matrix[None], shots, [seed])[0]
-    cells = list(itertools.product(range(da * da - 1), range(db * db - 1)))
-    return CorrelatorGrid._from_array(rho.dims, cells, values)
+    return CorrelatorGrid._full(rho.dims, values)
 
 
 def _read_sampling(
@@ -411,7 +409,7 @@ def family_grid_values(
     else:
         shots, seed = _read_sampling((2, 2), shots, seed)
         values = _sampled_values(states, shots, range(seed, seed + len(states)))
-    check_correlators((2, 2), _QUBIT_CELLS, values)
+    check_full_grid((2, 2), values)
     return values
 
 
@@ -448,9 +446,10 @@ def sample_separable(
     parts = rng.normal(size=(terms, 2 * (d + db)))
     va = parts[:, :d] + 1.0j * parts[:, d : 2 * d]
     vb = parts[:, 2 * d : 2 * d + db] + 1.0j * parts[:, 2 * d + db :]
-    # row k is va_k (x) vb_k; one norm serves, as |va (x) vb| = |va| |vb|
+    # row k is va_k (x) vb_k; one norm serves, as |va (x) vb| = |va| |vb|.
+    # The norms are np.linalg.norm's reduction, without its wrapper.
     v = (va[:, :, None] * vb[:, None, :]).reshape(terms, d * db)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v /= np.sqrt(np.add.reduce((v.conj() * v).real, axis=1, keepdims=True))
     return DensityMatrix((v.T * weights) @ v.conj(), (d, db))
 
 

@@ -37,7 +37,11 @@ sum of the block optima.  Three kinds of component have exact closed forms.
 
 A component that lies in one row or one column (a line) is a vector,
 whose optimum is exactly t * ||v_line||_2, reached by
-c = t * v_line / ||v_line||_2 (zero on a zero line).
+c = t * v_line / ||v_line||_2 (zero on a zero line).  A line whose norm is
+subnormal is first scaled by the power of two that puts its largest
+|entry| in (0.5, 1]: unscaled, hypot(5e-324, 5e-324) rounds to 5e-324 and
+v / ||v|| is (1, -1), of spectral norm sqrt(2).  The scaling is exact and
+no other line is scaled, so every other line keeps its bits.
 
 Any other component of three cells spans two rows and two columns (a
 corner): an entry a that shares its row with b and its column with c.
@@ -90,10 +94,9 @@ of leaves alone is a line and is left as it is, and no line, corner or
 complete block holds siblings, so every support without them keeps its
 bits.  A merged component of three cells is a corner: the fork
 [[a, b, c], [d, ., .]] takes the corner's closed form on (a, hypot(b, c),
-d).  Each group's norm is taken on its data scaled by a power of two, as
-a corner's is, so that v / r stays a unit vector on subnormal data.  The
-witness bound is still one SVD of the full coefficients, so its soundness
-does not rest on the merge.
+d).  A group's norm and unit vector are taken as a line's, so that v / r
+stays a unit vector on subnormal data too.  The witness bound is still one
+SVD of the full coefficients, so its soundness does not rest on the merge.
 
 Every other component goes into one sub-support, which follows the path
 above with nu still counting the whole grid: the blocks it holds have side
@@ -152,20 +155,23 @@ staircases), and the paths of 19-angle sweeps of the four families on the
 staircase XX,XY,YY,YZ through the single-grid loop 2.4-3.8x as long
 (8.9-11.8 vs 2.9-3.7 ms).
 
-The kernels call LAPACK through numpy's own linalg gufuncs, bound once as
-``numpy.linalg._umath_linalg``: ``cholesky_lo``, ``inv``, ``solve1`` and
-``solve`` are the compiled routines that ``np.linalg.cholesky``, ``inv``
-and ``solve`` call, so every bit is theirs.  The public functions check
-shapes and types and enter an errstate on each call, which costs more than
-LAPACK does at these sizes: on a side-5 active block, on one thread, the
-public function against the gufunc took 6.2 vs 1.3 us per factorization,
-9.3 vs 3.7 us per inverse and 8.8 vs 2.5 us per solve.  That private
-module is the solver's one binding outside numpy's public API, and a test
-holds each kernel to the public function's bits.  A gufunc does not
-raise: where it cannot factor or solve a matrix it writes a NaN matrix.  A
-failure is read there, from one entry for a single grid (the last pivot of
-a factor, the first entry of a step) and from one entry per row in a
-stack.  Each barrier path runs inside one ``np.errstate`` that
+The kernels call LAPACK through numpy's own linalg gufuncs, bound once
+in ``entcert._linalg``: ``cholesky_lo``, ``inv``, ``solve1`` and ``solve``
+are the compiled routines that ``np.linalg.cholesky``, ``inv`` and
+``solve`` call, and the thin SVD that the complete blocks take, and the
+values-only one of the witness bound, are those of ``np.linalg.svd``, so
+every bit is theirs.  The public functions check shapes and types and
+enter an errstate on each call, which costs more than LAPACK does at these
+sizes: on one thread, the public function against the gufunc took 6.2 vs
+1.3 us per factorization, 9.3 vs 3.7 us per inverse and 8.8 vs 2.5 us per
+solve of a side-5 active block, and 6.2 vs 2.9 us for the singular values
+and 8.6 vs 4.2 us for the thin SVD of a 3 x 3 matrix (an errstate adds
+1.3-1.5 us).  A test holds each gufunc to the public function's bits.  A
+gufunc does not raise: where it cannot factor, solve or decompose a matrix
+it writes a NaN matrix.  A failure is read there, from one entry for a
+single grid (the last pivot of a factor, the first entry of a step), from
+one entry per row in a stack, and from the singular values of an SVD.
+Each barrier path, and each SVD call, runs inside one ``np.errstate`` that
 ignores the invalid, overflow, divide and underflow flags, as numpy's
 functions do around the same calls.
 
@@ -185,12 +191,15 @@ every solve once did, and every input check still runs on every call.
 The results of a stack are built together: the shared support is checked
 once, the (N, k) coefficients as one array, and one stacked SVD gives the N
 spectral norms of the witness bounds, each equal to the single matrix's.
+``witness.spectral_norms`` scatters them into the dense matrices at
+positions kept per (dims, support) and calls the SVD gufunc directly.
 The polish of all grids on the path takes its norms in one stacked SVD
 too.  A sweep hands its (N, k) array of grid values to the stacked entry
 directly, without a grid object per angle.
 
-Solver failures raise SolverError, which is not an input error; its message
-names the stage mu the path had reached.
+Solver failures raise SolverError, which is not an input error.  On the
+path its message names the stage mu the path had reached; a failed SVD,
+of a complete block or of the witness bound, raises it too.
 """
 
 from __future__ import annotations
@@ -200,11 +209,14 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg as _lapack
 
+from . import _linalg
+from ._linalg import SolverError
+from ._linalg import errstate as _kernel_errstate
+from ._linalg import lapack as _lapack
 from .grids import CorrelatorGrid, read_support
 from .witness import CoefficientMatrix, NEResult, make_witness_pair, spectral_norms
 
@@ -212,15 +224,11 @@ _BACKTRACK = 0.5
 _CENTERED_DECREMENT = 1e-4  # squared Newton decrement: lambda <= 0.01
 _STAGE_DECREMENT = 0.25  # before the last stage: lambda <= 1/2
 _QUADRATIC_PHASE = 0.25  # below this lambda the undamped step is safe
-_MONOTONE_SLACK = 1e-9
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 #: Plans and path blocks held, one per key, least recently used out.  The
 #: separable test reuses one support at a time; 32 keep over half the hits of
 #: an unbounded cache where supports recur between others (BENCH_23.json).
 _CACHED_PLANS = 32
-
-
-class SolverError(RuntimeError):
-    """The interior-point iteration failed on valid input."""
 
 
 @dataclass(frozen=True)
@@ -243,15 +251,6 @@ class SolverOptions:
             raise ValueError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
         if not (0.0 < self.mu_factor < 1.0):
             raise ValueError("mu_factor must lie in (0, 1)")
-
-
-def _kernel_errstate() -> np.errstate:
-    """The floating-point state the Newton kernels run in.
-
-    numpy's linalg wrappers ignore these flags around the same gufuncs; a
-    factorization or solve that fails is read from its NaN output instead.
-    """
-    return np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
 
 
 class _ActiveBlock:
@@ -625,36 +624,57 @@ def _runs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The norm of each run of entries of ``part`` (N, k), with ``reduceat``
     offsets ``starts`` and ``sizes``, and each run divided by its norm (a
-    zero run stays zero)."""
+    zero run stays zero).
+
+    A run whose norm is subnormal is first scaled by the power of two that
+    puts its largest |entry| in (0.5, 1]: its unscaled norm rounds so
+    coarsely that the run over it is no unit vector.  Every other run is
+    taken as it is, so each run's bits depend on its own entries alone.
+    """
     # hypot scales, so no square underflows; reduceat gives a one-entry run
     # its own entry, hence abs
-    norms = np.hypot.reduceat(np.abs(part), starts, axis=1)
-    spread = np.repeat(norms, sizes, axis=1)
+    magnitude = np.abs(part)
+    norms = np.hypot.reduceat(magnitude, starts, axis=1)
+    scaled = norms
+    small = norms < _SMALLEST_NORMAL
+    if small.any():
+        peaks = np.maximum.reduceat(magnitude, starts, axis=1)
+        shift = np.where(small, _unit_shift(peaks), 0)
+        part = np.ldexp(part, -np.repeat(shift, sizes, axis=1))
+        scaled = np.hypot.reduceat(np.abs(part), starts, axis=1)
+        norms = np.ldexp(scaled, shift)
+    spread = np.repeat(scaled, sizes, axis=1)
     return norms, np.divide(part, spread, out=np.zeros(part.shape), where=spread > 0.0)
 
 
 def _corners(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Optima and coefficients of corners at t = 1, from (..., 3) entries (a, b, c).
+    """Optima and coefficients of corners at t = 1, from (N, count, 3) entries
+    (a, b, c).
 
     a shares its row with b and its column with c (module docstring).
     """
-    shift = _unit_shift(np.abs(part).max(axis=-1))
-    a, b, c = np.moveaxis(np.ldexp(part, -shift[..., None]), -1, 0)
+    shift = _unit_shift(np.maximum.reduce(np.abs(part), axis=-1))
+    scaled = np.ldexp(part, -shift[..., None])
+    # a, b and c are made contiguous, as the gathers below would make them:
+    # the formulas are elementwise, and contiguous operands run the loops that
+    # one corner alone runs, whatever numpy dispatches on strides
+    a, b, c = scaled.transpose(2, 0, 1).copy()
     # mu* = sign(bc) a: the polar factor is the signed swap of b and c.  Where
     # b or c is zero so is a, and a zero coefficient on it is optimal too.
     value = np.abs(b) + np.abs(c)
-    coeffs = np.stack([np.zeros_like(a), np.sign(b), np.sign(c)], axis=-1)
+    coeffs = np.sign(scaled)
+    coeffs[..., 0] = 0.0
     # mu* = bc/a: the completion has rank one, and the corner fixes the
-    # weight -sign(a) bc/a^2 of the complementary singular pair
+    # weight -sign(a) bc/a^2 of the complementary singular pair.  Where every
+    # corner is rank one, the whole arrays serve and nothing is gathered.
     rank_one = np.abs(b * c) < a * a
-    a, b, c = a[rank_one], b[rank_one], c[rank_one]
+    where = Ellipsis if rank_one.all() else rank_one
+    a, b, c = a[where], b[where], c[where]
     row, col, size = np.hypot(a, b), np.hypot(a, c), np.abs(a)
-    value[rank_one] = row * col / size
-    coeffs[rank_one] = np.stack([
-        (a**4 - (b * c) ** 2) / (a * size * row * col),
-        b * col / (size * row),
-        c * row / (size * col),
-    ], axis=-1)
+    value[where] = row * col / size
+    coeffs[where, 0] = (a**4 - (b * c) ** 2) / (a * size * row * col)
+    coeffs[where, 1] = b * col / (size * row)
+    coeffs[where, 2] = c * row / (size * col)
     return np.ldexp(value, shift), coeffs
 
 
@@ -664,15 +684,18 @@ def _complete_blocks(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The optimum is the nuclear norm, reached by the polar factor of the
     block (module docstring); a zero block keeps zero coefficients.
     """
-    shift = _unit_shift(np.abs(part).max(axis=(1, 2)))
+    shift = _unit_shift(np.maximum.reduce(np.abs(part), axis=(1, 2)))
     scaled = np.ldexp(part, -shift[:, None, None])
-    u, sigma, vt = np.linalg.svd(scaled, full_matrices=False)
+    with _kernel_errstate():
+        u, sigma, vt = _linalg.svd_thin(scaled)
+    if np.isnan(sigma[:, 0]).any():
+        raise SolverError("the SVD of a complete block did not converge")
     polar = u @ vt
     # one Newton-Schulz step (3X - X X^T X) / 2: the largest singular value
     # of the coefficients is then 1 to within a few ulps
     polar = 1.5 * polar - 0.5 * (polar @ polar.swapaxes(1, 2)) @ polar
     polar[sigma[:, 0] == 0.0] = 0.0
-    return np.ldexp(sigma.sum(axis=1), shift), polar
+    return np.ldexp(np.add.reduce(sigma, axis=1), shift), polar
 
 
 def _polish(
@@ -750,16 +773,12 @@ def _ne_solve_stack(
     merge = plan.merge
     if merge is not None:
         # each group of sibling leaves becomes one cell holding the norm r of
-        # its data, taken on the data scaled by the power of two that puts
-        # the group's largest |entry| in (0.5, 1]: on subnormal data the
-        # unscaled norm rounds so coarsely that v / r is no unit vector
-        starts, sizes = merge.starts, merge.sizes
+        # its data
+        sizes = merge.sizes
         grouped = np.ascontiguousarray(values[:, merge.members])
-        shift = _unit_shift(np.maximum.reduceat(np.abs(grouped), starts, axis=1))
-        scaled = np.ldexp(grouped, -np.repeat(shift, sizes, axis=1))
-        norms, unit = _runs(scaled, starts, sizes)
+        norms, unit = _runs(grouped, merge.starts, sizes)
         merged = np.ascontiguousarray(values[:, merge.kept])
-        merged[:, merge.reps] = np.ldexp(norms, shift)
+        merged[:, merge.reps] = norms
         part, ne, steps, gaps = _solve_merged(plan, dims, merged, opts)
         # c_member = c_rep * v_member / r, zero on a zero group
         coeffs = np.zeros(values.shape)
@@ -832,44 +851,3 @@ def _solve_merged(
         for row in rows:
             ne[row] += abs(float(part[row] @ coeffs[row, rest]))
     return coeffs, ne, steps, gaps
-
-
-@dataclass(frozen=True)
-class MonotoneReport:
-    """Normalized estimation along a nested chain of supports."""
-
-    measurement_sets: tuple[Collection[tuple[int, int]], ...]
-    results: tuple[NEResult, ...]
-    monotone: bool
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(r.value for r in self.results)
-
-
-def ne_monotone_report(
-    chain: Sequence[Collection[tuple[int, int]]],
-    g: CorrelatorGrid,
-    options: SolverOptions | None = None,
-) -> MonotoneReport:
-    """Solve along a chain S1 c S2 c ... and check the values never drop.
-
-    Adding correlators can only widen the feasible coefficient supports, so
-    the optimum is nondecreasing; a violation beyond solver slack would
-    expose an inconsistent grid or a solver failure.  Each support is a
-    collection of cells, such as a ``MeasurementSet``.  The chain must be
-    nested, else ValueError.
-    """
-    if not chain:
-        raise ValueError("empty measurement chain")
-    sets = tuple(chain)
-    supports = [read_support(g.dims, s) for s in sets]
-    for prev, nxt in zip(supports, supports[1:]):
-        if not set(prev) <= set(nxt):
-            raise ValueError("measurement sets must be nested")
-    results = tuple(ne_solve(g, s, options) for s in supports)
-    monotone = all(
-        later.value >= earlier.value - _MONOTONE_SLACK
-        for earlier, later in zip(results, results[1:])
-    )
-    return MonotoneReport(sets, results, monotone)

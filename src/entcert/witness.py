@@ -13,6 +13,14 @@ therefore has nonnegative expectation on all separable states, and a
 negative measured expectation of either member certifies entanglement.
 Witnesses are stored symbolically (bound + expansion); dense operators are
 materialized on demand only, which keeps the construction dimension-generic.
+
+The bound's ||C||_inf comes from ``spectral_norms``: the coefficients are
+scattered into dense matrices, at positions kept per (dims, support), and
+numpy's values-only SVD gufunc (bound in ``entcert._linalg``) takes the
+singular values of one matrix or a whole stack in one call, each the bits
+that ``np.linalg.svd`` gives.  Where LAPACK fails it writes NaN, and the
+bound raises SolverError: a solver failure on valid input, not the
+``LinAlgError`` (a ValueError, so an input error) of ``np.linalg.svd``.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import qmodel
+from . import _linalg, qmodel
+from ._linalg import SolverError
 from .grids import CorrelatorGrid, pair_label, parse_qubit_label, read_dims, read_support
 
 Array = np.ndarray
@@ -103,7 +112,7 @@ class CoefficientMatrix:
     @functools.cached_property
     def _operator_norm(self) -> float:
         # one SVD per matrix: the witness pair and its bound check share it
-        return float(np.linalg.svd(self.dense(), compute_uv=False)[0])
+        return float(spectral_norms(self.dims, self.support, np.array(self.coeffs)))
 
     def scaled(self, factor: float) -> "CoefficientMatrix":
         return CoefficientMatrix(
@@ -131,17 +140,41 @@ def _checked_support(
     return dims, support
 
 
+@functools.lru_cache(maxsize=32)
+def _scatter(
+    dims: tuple[int, int], support: tuple[tuple[int, int], ...]
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """The flat positions of ``support`` in the row-major (m, n) coefficient
+    matrix of ``dims``, and (m, n).  Built once per key, as the solver's plans
+    are, and shared; the positions are read-only."""
+    m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    index = np.array([i * n + j for i, j in support], dtype=np.intp)
+    index.setflags(write=False)
+    return index, (m, n)
+
+
 def spectral_norms(
     dims: tuple[int, int], support: Sequence[tuple[int, int]], coeffs: Array
 ) -> Array:
     """Largest singular values of the coefficient matrices ``coeffs`` (..., k)
     on ``support``, from one stacked SVD; each equals the single matrix's bit
-    for bit."""
-    m, n = dims[0] ** 2 - 1, dims[1] ** 2 - 1
-    dense = np.zeros(coeffs.shape[:-1] + (m * n,))
-    dense[..., np.array([i * n + j for i, j in support])] = coeffs
-    shape = coeffs.shape[:-1] + (m, n)
-    return np.linalg.svd(dense.reshape(shape), compute_uv=False)[..., 0]
+    for bit, as ``np.linalg.svd`` gives it.
+
+    The SVD gufunc is called directly (see ``_linalg``); where it fails, on
+    valid input, SolverError is raised.
+    """
+    try:
+        index, shape = _scatter(dims, support)
+    except TypeError:  # cells given as lists or arrays, which do not hash
+        index, shape = _scatter(tuple(dims), tuple(map(tuple, support)))
+    lead = coeffs.shape[:-1]
+    dense = np.zeros(lead + (shape[0] * shape[1],))
+    dense[..., index] = coeffs
+    with _linalg.errstate():
+        norms = _linalg.svd_values(dense.reshape(lead + shape))[..., 0]
+    if np.isnan(norms).any():
+        raise SolverError("the SVD of the witness coefficients did not converge")
+    return norms
 
 
 def separable_bound(c: CoefficientMatrix) -> float:

@@ -22,6 +22,7 @@ from entcert.multipartite import ObservableSum, spi_lambda_max
 from entcert.qmodel import StateFamilyParams, correlator_grid, make_state
 from entcert.solver import SolverOptions
 from entcert.witness import evaluate_witness, ne_verdict
+from nested import ne_monotone_report
 
 _AXES = "XYZ"
 
@@ -114,7 +115,7 @@ def test_nested_estimation_rows_and_monotone_report():
     chain = [
         MeasurementSet.parse(s) for s in ("XX,ZZ", "XX,ZY,ZZ", "XX,YX,ZY,ZZ")
     ]
-    report = solver.ne_monotone_report(chain, grid)
+    report = ne_monotone_report(chain, grid)
     assert report.monotone
     assert np.allclose(report.values, (1.36, 1.60, 1.82), atol=0.02)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entcert import cli, qmodel, solver
+from entcert import _linalg, cli, qmodel, solver
 from entcert.cli import main, parse_angle
 from entcert.grids import MeasurementSet, emit_grid, parse_grid, render_float
 from entcert.multipartite import spi_lambda_max
@@ -437,6 +437,21 @@ def test_solver_failure_has_its_own_exit_code(capsys, tmp_path):
             "error: solver failure: interior-point iteration limit exceeded"
             " at stage mu=0.2 (max_iter=1)\n"
         )
+
+
+def test_a_failed_bound_is_a_solver_failure_not_an_input_error(capsys, monkeypatch):
+    # where the witness bound's SVD fails, LAPACK writes NaN, and that is a
+    # solver failure (exit 3), not the LinAlgError, a ValueError, that the
+    # public np.linalg.svd raises (exit 2)
+    monkeypatch.setattr(
+        _linalg, "svd_values", lambda a: np.full(a.shape[:-2] + (min(a.shape[-2:]),), np.nan)
+    )
+    grid = '{"dims":[2,2],"correlators":{"XX":-0.95,"XY":0.03,"ZX":-0.96}}'
+    rc, out, err = _run(capsys, ["verify", "--grid", grid])
+    assert (rc, out) == (3, "")
+    assert err == (
+        "error: solver failure: the SVD of the witness coefficients did not converge\n"
+    )
 
 
 def test_data_below_roundoff_are_undetected_not_a_crash(capsys):

@@ -17,9 +17,9 @@ from entcert.grids import (
     emit_grid,
     parse_grid,
     render_float,
-    restrict,
 )
 from entcert.witness import CoefficientMatrix
+from nested import ne_monotone_report, restrict
 
 MAIN_EXAMPLE = b'{"dims":[2,2],"correlators":{"XX":-0.95,"XY":0.03,"ZX":-0.96}}'
 
@@ -250,7 +250,7 @@ _ENTRY_POINTS = {
     "ne_solve_batch": lambda s: [
         _solved(r) for r in solver.ne_solve_batch([_FULL, _NEGATED], s)
     ],
-    "ne_monotone_report": lambda s: solver.ne_monotone_report(
+    "ne_monotone_report": lambda s: ne_monotone_report(
         [MeasurementSet.parse("XY"), s], _FULL
     ).values,
 }

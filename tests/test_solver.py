@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from entcert import patterns, qmodel, solver
+from entcert import _linalg, patterns, qmodel, solver
 from entcert.grids import CorrelatorGrid, MeasurementSet
 from entcert.witness import CoefficientMatrix, NEResult
+from nested import ne_monotone_report
 
 
 def _grid(d):
@@ -299,7 +300,7 @@ def test_monotone_report_nested_chain():
     g = _grid({"XX": 0.9, "YX": -0.7, "ZY": 0.6, "ZZ": 0.8})
     chain = [MeasurementSet.parse(s) for s in
              ("XX,ZZ", "XX,ZY,ZZ", "XX,YX,ZY,ZZ")]
-    rep = solver.ne_monotone_report(chain, g)
+    rep = ne_monotone_report(chain, g)
     assert rep.monotone
     assert len(rep.values) == 3
     assert rep.values[0] <= rep.values[1] <= rep.values[2] + 1e-9
@@ -310,9 +311,9 @@ def test_monotone_report_rejects_non_nested():
     g = _grid({"XX": 0.9, "ZZ": 0.8, "YY": 0.1})
     chain = [MeasurementSet.parse("XX,ZZ"), MeasurementSet.parse("XX,YY")]
     with pytest.raises(ValueError, match="nested"):
-        solver.ne_monotone_report(chain, g)
+        ne_monotone_report(chain, g)
     with pytest.raises(ValueError, match="empty"):
-        solver.ne_monotone_report([], g)
+        ne_monotone_report([], g)
 
 
 def test_missing_correlator_raises():
@@ -989,6 +990,78 @@ def test_bound_gufuncs_give_the_public_bits_or_nan_where_it_raises():
     assert min(outcomes.values()) > 0, outcomes
 
 
+def test_bound_svd_gufuncs_give_the_public_bits_or_nan_where_it_raises():
+    # the witness bound and the complete blocks call the SVD gufuncs that
+    # np.linalg.svd calls, bound by name for the installed numpy (numpy 1.x
+    # picks one of two by shape, so stacks of every shape are checked)
+    for kernel in _linalg._SVD_VALUES + _linalg._SVD_THIN:
+        assert isinstance(kernel, np.ufunc), kernel
+    kernels = {
+        "values": (_linalg.svd_values, lambda a: (np.linalg.svd(a, compute_uv=False),)),
+        "thin": (_linalg.svd_thin, lambda a: tuple(np.linalg.svd(a, full_matrices=False))),
+    }
+    rng = np.random.default_rng(223)
+    outcomes = {(name, ok): 0 for name in kernels for ok in (True, False)}
+    with _linalg.errstate():
+        for rows, cols in ((1, 1), (1, 4), (2, 3), (3, 8), (2, 2), (3, 3), (8, 8),
+                           (4, 1), (3, 2), (8, 3)):
+            stack = rng.normal(size=(6, rows, cols))
+            stack[1] = 0.0
+            stack[2, -1] = stack[2, 0]  # rank deficient where rows > 1
+            stack[3] *= 1e-310  # subnormal
+            stack[4, 0, -1] = np.nan
+            for name, (kernel, public) in kernels.items():
+                stacked = kernel(stack)
+                stacked = stacked if isinstance(stacked, tuple) else (stacked,)
+                for row in range(len(stack)):
+                    one = kernel(stack[row])
+                    one = one if isinstance(one, tuple) else (one,)
+                    try:
+                        want = public(stack[row])
+                    except np.linalg.LinAlgError:
+                        for got in one + tuple(part[row] for part in stacked):
+                            assert np.isnan(got).all(), (name, rows, cols, row)
+                        outcomes[name, False] += 1
+                    else:
+                        for got, part, expected in zip(one, stacked, want):
+                            assert np.array_equal(got, expected), (name, rows, cols, row)
+                            assert np.array_equal(part[row], expected), (name, rows, cols, row)
+                        outcomes[name, True] += 1
+                # a stack the public function takes whole gives its bits too
+                finite = stack[[0, 2, 3, 5]]
+                whole = kernel(finite)
+                whole = whole if isinstance(whole, tuple) else (whole,)
+                for got, expected in zip(whole, public(finite)):
+                    assert np.array_equal(got, expected), (name, rows, cols)
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def _failed_svd(a):
+    """What an SVD gufunc writes where LAPACK fails: NaN."""
+    return np.full(a.shape[:-2] + (min(a.shape[-2:]),), np.nan)
+
+
+def test_a_failed_bound_svd_is_a_solver_failure(monkeypatch):
+    monkeypatch.setattr(_linalg, "svd_values", _failed_svd)
+    # a corner, a line and a path solve all take their bound from the SVD
+    for grid in (MAIN, _grid({"XX": 0.9, "XY": -0.3}), BLOCK):
+        with pytest.raises(solver.SolverError, match="SVD of the witness coefficients"):
+            solver.ne_solve(grid)
+    with pytest.raises(solver.SolverError, match="SVD of the witness coefficients"):
+        solver.ne_solve_batch([MAIN, MAIN])
+
+
+def test_a_failed_complete_block_svd_is_a_solver_failure(monkeypatch):
+    def failed(a):
+        s = _failed_svd(a)
+        u = np.full(a.shape[:-1] + s.shape[-1:], np.nan)
+        return u, s, np.full(a.shape[:-2] + s.shape[-1:] + a.shape[-1:], np.nan)
+
+    monkeypatch.setattr(_linalg, "svd_thin", failed)
+    with pytest.raises(solver.SolverError, match="SVD of a complete block"):
+        solver.ne_solve(_grid({"XX": 0.9, "XY": -0.3, "YX": 0.2, "YY": 0.8}))
+
+
 # the parent of the gufunc kernels gave these (value, gap, steps,
 # coefficients); GUARD and its scalings reach the roundoff guard
 SIGNS = {"XX": 1.0, "XZ": -1.0, "YX": 1.0, "YZ": -1.0, "ZX": -1.0, "ZY": -1.0}
@@ -1530,6 +1603,54 @@ def test_zero_and_subnormal_groups_give_finite_coefficients(leaf):
         corner = solver.ne_solve(CorrelatorGrid((2, 2), {(0, 0): 0.7, (1, 0): -0.4}))
         assert results[0].value == corner.value
     assert results[3].iterations > 0
+
+
+@pytest.mark.parametrize("cells", [((0, 0), (0, 1)), ((0, 0), (1, 0))], ids=["row", "column"])
+def test_subnormal_lines_give_coefficients_of_spectral_norm_one(cells):
+    # unscaled, hypot(5e-324, 5e-324) rounds to 5e-324, so the row line
+    # {XX, XY} and the column line {XX, YX} got the coefficients (1, -1),
+    # of spectral norm sqrt(2), and a witness bound of 1.414
+    data = [(5e-324, -5e-324), (1e-310, 3e-310), (-2.5e-323, 1e-323), (5e-324, 0.0)]
+    grids = [CorrelatorGrid((2, 2), dict(zip(cells, values))) for values in data]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        alone = [solver.ne_solve(g) for g in grids]
+        stacked = solver.ne_solve_batch(grids)
+        # beside a unit-scale line, each line keeps its own scale
+        two = solver.ne_solve(CorrelatorGrid((2, 2), {**grids[0].values, (2, 2): 0.5}))
+    assert alone[0].coefficients.coeffs == pytest.approx((0.5**0.5, -(0.5**0.5)))
+    for got in alone + stacked + [two]:
+        assert got.coefficients.operator_norm() == pytest.approx(1.0, rel=4e-16)
+        assert got.witness.bound <= 1.0 + 1e-12
+        assert got.value > 0.0 and got.verdict == "undetected"
+    assert [_bits(r) for r in stacked] == [_bits(r) for r in alone]
+    assert two.value == 0.5 + alone[0].value
+
+
+def test_runs_keep_their_unscaled_bits_unless_their_norm_is_subnormal():
+    # only a run of subnormal norm is scaled, so every other run keeps the
+    # norm and unit vector it had unscaled, and each run's bits depend on its
+    # own entries alone: a row of a stack is that row solved alone
+    rng = np.random.default_rng(229)
+    for sizes in ([1], [2], [3, 1], [2, 5, 1, 4]):
+        # unit scale, near the smallest normal, and subnormal entries mixed
+        part = rng.uniform(-2.1, 2.1, size=(60, sum(sizes)))
+        part *= 2.0 ** rng.choice([0, -3, -1022, -1050, -1074], size=part.shape)
+        part[0] = 0.0
+        starts = np.array([0] + list(itertools.accumulate(sizes[:-1])))
+        norms, unit = solver._runs(part, starts, np.array(sizes))
+        plain = np.hypot.reduceat(np.abs(part), starts, axis=1)
+        spread = np.repeat(plain, sizes, axis=1)
+        want = np.divide(part, spread, out=np.zeros(part.shape), where=spread > 0.0)
+        kept = plain >= np.finfo(float).tiny  # runs of normal norm
+        entries = np.repeat(kept, sizes, axis=1)
+        assert np.array_equal(norms[kept], plain[kept])
+        assert np.array_equal(unit[entries], want[entries])
+        assert 0 < kept.sum() < kept.size
+        for row in range(len(part)):
+            alone = solver._runs(part[row : row + 1], starts, np.array(sizes))
+            assert np.array_equal(alone[0][0], norms[row])
+            assert np.array_equal(alone[1][0], unit[row])
 
 
 def test_merged_stacks_equal_each_grid_alone_bit_for_bit():
