@@ -989,19 +989,19 @@ def test_bound_gufuncs_give_the_public_bits_or_nan_where_it_raises():
     # every kernel both succeeded and failed
     assert min(outcomes.values()) > 0, outcomes
 
-
-def test_bound_svd_gufuncs_give_the_public_bits_or_nan_where_it_raises():
     # the witness bound and the complete blocks call the SVD gufuncs that
-    # np.linalg.svd calls, bound by name for the installed numpy (numpy 1.x
-    # picks one of two by shape, so stacks of every shape are checked)
+    # np.linalg.svd calls, bound by name for the installed numpy; numpy 1.x
+    # picks one of two by shape, so stacks of every shape are checked
     for kernel in _linalg._SVD_VALUES + _linalg._SVD_THIN:
         assert isinstance(kernel, np.ufunc), kernel
-    kernels = {
-        "values": (_linalg.svd_values, lambda a: (np.linalg.svd(a, compute_uv=False),)),
-        "thin": (_linalg.svd_thin, lambda a: tuple(np.linalg.svd(a, full_matrices=False))),
+    svds = {
+        "svd values": (
+            lambda a: (_linalg.svd_values(a),),
+            lambda a: (np.linalg.svd(a, compute_uv=False),),
+        ),
+        "svd thin": (_linalg.svd_thin, lambda a: tuple(np.linalg.svd(a, full_matrices=False))),
     }
-    rng = np.random.default_rng(223)
-    outcomes = {(name, ok): 0 for name in kernels for ok in (True, False)}
+    outcomes = {(name, ok): 0 for name in svds for ok in (True, False)}
     with _linalg.errstate():
         for rows, cols in ((1, 1), (1, 4), (2, 3), (3, 8), (2, 2), (3, 3), (8, 8),
                            (4, 1), (3, 2), (8, 3)):
@@ -1010,12 +1010,10 @@ def test_bound_svd_gufuncs_give_the_public_bits_or_nan_where_it_raises():
             stack[2, -1] = stack[2, 0]  # rank deficient where rows > 1
             stack[3] *= 1e-310  # subnormal
             stack[4, 0, -1] = np.nan
-            for name, (kernel, public) in kernels.items():
+            for name, (kernel, public) in svds.items():
                 stacked = kernel(stack)
-                stacked = stacked if isinstance(stacked, tuple) else (stacked,)
                 for row in range(len(stack)):
                     one = kernel(stack[row])
-                    one = one if isinstance(one, tuple) else (one,)
                     try:
                         want = public(stack[row])
                     except np.linalg.LinAlgError:
@@ -1029,9 +1027,7 @@ def test_bound_svd_gufuncs_give_the_public_bits_or_nan_where_it_raises():
                         outcomes[name, True] += 1
                 # a stack the public function takes whole gives its bits too
                 finite = stack[[0, 2, 3, 5]]
-                whole = kernel(finite)
-                whole = whole if isinstance(whole, tuple) else (whole,)
-                for got, expected in zip(whole, public(finite)):
+                for got, expected in zip(kernel(finite), public(finite)):
                     assert np.array_equal(got, expected), (name, rows, cols)
     assert min(outcomes.values()) > 0, outcomes
 
