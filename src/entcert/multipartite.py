@@ -59,8 +59,9 @@ once per call, and each evaluation only reweights them and appends the
 previous optimizer.  Estimates must be finite and within the qubit
 correlator cap of ``grids.VALUE_CAP``.  Values above 1 are incompatible
 with fully separable states provided lambda_max was not underestimated;
-SPI's value is a lower bound on the maximum, so the verdict is
-heuristic, not certified.
+SPI's value is a lower bound on the maximum, so the verdict, the one rule
+``witness.decide`` on c . e with lambda_max as the bound, is heuristic, not
+certified.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ import numpy as np
 
 from .grids import VALUE_CAP
 from .qmodel import PAULI, _read_int, gell_mann_basis
-from .witness import ne_verdict
+from .witness import decide
 
 _UNIT_TOL = 1e-12
 _DEGENERACY_TOL = 1e-10
@@ -632,8 +633,9 @@ class MultipartiteNEResult:
 
     Nothing here is certified: lambda_max is SPI's value, a lower bound on
     the product-state maximum.  ``value`` > 1 is incompatible with fully
-    separable states only if lambda_max was not underestimated; ``spi``
-    holds the final re-evaluation at the reported coefficients.
+    separable states only if lambda_max was not underestimated; ``verdict``
+    is ``witness.decide`` on c . e and lambda_max, and ``spi`` holds the
+    final re-evaluation at the reported coefficients.
     """
 
     value: float
@@ -744,12 +746,12 @@ def ne_multipartite(
     lam = final.lambda_max
     if lam <= 1e-12:
         raise RuntimeError("normalization collapsed: lambda_max ~ 0 at the optimum")
-    value = float(best_c @ est) / lam
+    expectation = float(best_c @ est)
     return MultipartiteNEResult(
-        value=value,
+        value=expectation / lam,
         labels=labels,
         coefficients=tuple(float(x) for x in best_c),
         lambda_max=lam,
-        verdict=ne_verdict(value),
+        verdict=decide(expectation, lam),
         spi=final,
     )

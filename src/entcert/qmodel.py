@@ -101,9 +101,10 @@ class DensityMatrix:
 
 def _check_density(m: Array) -> None:
     """DensityMatrix's checks, on one matrix or a stack (..., n, n)."""
-    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > _HERM_TOL:
+    # written so that NaN fails them, and an infinite entry with it
+    if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= _HERM_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(m.trace(axis1=-2, axis2=-1).real - 1.0).max() > _TRACE_TOL:
+    if not np.abs(m.trace(axis1=-2, axis2=-1).real - 1.0).max() <= _TRACE_TOL:
         raise ValueError("density matrix trace is not 1")
 
 

@@ -61,8 +61,10 @@ and mu* = sign(bc) a otherwise, giving NE = |b| + |c|.  The optimizing
 coefficients are the polar factor of the completed matrix, in closed form
 too, and sit exactly on the constraint boundary.  Each corner is solved on
 its data scaled by the power of two that puts the largest |entry| in
-(0.5, 1], so that a^4 neither underflows nor overflows; the value is
-scaled back.
+(0.5, 1], so that nothing overflows; the value is scaled back.  A corner
+entry far below its row mate can still underflow a^4 - (bc)^2 and
+a |a| row col to 0 (on {ZZ: 1e-22, YX: -1e-284, ZX: 1e-143}); there alone
+the coefficients are taken again as products of ratios, which stay finite.
 
 A component that fills every cell of the r >= 2 rows and c >= 2 columns
 it spans (a complete block) holds an unconstrained r x c matrix V.  The
@@ -195,7 +197,10 @@ spectral norms of the witness bounds, each equal to the single matrix's.
 positions kept per (dims, support) and calls the SVD gufunc directly.
 The polish of all grids on the path takes its norms in one stacked SVD
 too.  A sweep hands its (N, k) array of grid values to the stacked entry
-directly, without a grid object per angle.
+directly, without a grid object per angle.  Each result carries the
+expectation c . v that ``witness.expansion_value`` sums on its row, the
+sum ``evaluate_witness`` takes on the grid, so its verdict is the
+witness's on that grid, stacked and sweep rows too.
 
 Solver failures raise SolverError, which is not an input error.  On the
 path its message names the stage mu the path had reached; a failed SVD,
@@ -218,7 +223,13 @@ from ._linalg import SolverError
 from ._linalg import errstate as _kernel_errstate
 from ._linalg import lapack as _lapack
 from .grids import CorrelatorGrid, read_support
-from .witness import CoefficientMatrix, NEResult, make_witness_pair, spectral_norms
+from .witness import (
+    CoefficientMatrix,
+    NEResult,
+    expansion_value,
+    make_witness_pair,
+    spectral_norms,
+)
 
 _BACKTRACK = 0.5
 _CENTERED_DECREMENT = 1e-4  # squared Newton decrement: lambda <= 0.01
@@ -672,9 +683,22 @@ def _corners(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b, c = a[where], b[where], c[where]
     row, col, size = np.hypot(a, b), np.hypot(a, c), np.abs(a)
     value[where] = row * col / size
-    coeffs[where, 0] = (a**4 - (b * c) ** 2) / (a * size * row * col)
-    coeffs[where, 1] = b * col / (size * row)
-    coeffs[where, 2] = c * row / (size * col)
+    # a corner of extreme spread underflows a^4 - (bc)^2 and a |a| row col to
+    # 0, and 0/0 is NaN: only such rows are taken again, as products of ratios
+    with _kernel_errstate():
+        coeffs[where, 0] = (a**4 - (b * c) ** 2) / (a * size * row * col)
+        coeffs[where, 1] = b * col / (size * row)
+        coeffs[where, 2] = c * row / (size * col)
+    if not np.isfinite(coeffs).all():
+        fast = coeffs[where]
+        lost = ~np.isfinite(fast).all(axis=-1)
+        a, b, c, row, col, size = (x[lost] for x in (a, b, c, row, col, size))
+        fast[lost] = np.stack([
+            np.sign(a) * ((a / row) * (a / col) - (b / row) * (c / col) * (b / a) * (c / a)),
+            (b / row) * (col / size),
+            (c / col) * (row / size),
+        ], axis=-1)
+        coeffs[where] = fast
     return np.ldexp(value, shift), coeffs
 
 
@@ -791,6 +815,8 @@ def _ne_solve_stack(
     # nonzero one
     coeffs[~values.any(axis=1), 0] = plan.t
     matrices = CoefficientMatrix.stack(dims, support, coeffs)
+    # each verdict reads the expectation that evaluate_witness sums on the
+    # same grid
     return [
         NEResult(
             value=value,
@@ -798,9 +824,10 @@ def _ne_solve_stack(
             iterations=iterations,
             gap=gap,
             witness=make_witness_pair(matrix),
+            expectation=expansion_value(matrix.coeffs, row),
         )
-        for value, matrix, iterations, gap in zip(
-            ne.tolist(), matrices, steps.tolist(), gaps.tolist()
+        for value, matrix, iterations, gap, row in zip(
+            ne.tolist(), matrices, steps.tolist(), gaps.tolist(), values.tolist()
         )
     ]
 

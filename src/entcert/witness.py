@@ -11,8 +11,16 @@ where ||.||_inf is the largest singular value.  The mirrored witness pair
 
 therefore has nonnegative expectation on all separable states, and a
 negative measured expectation of either member certifies entanglement.
-Witnesses are stored symbolically (bound + expansion); dense operators are
-materialized on demand only, which keeps the construction dimension-generic.
+Witnesses are stored symbolically (the expansion, whose bound the pair
+computes itself); dense operators are materialized on demand only, which
+keeps the construction dimension-generic.
+
+Every verdict is ``decide(expectation, bound)``: 'entangled' exactly when
+|<S>| exceeds the separable bound by more than 1e-9 times that bound.
+``evaluate_witness`` and ``NEResult.verdict`` give it the pair's bound and
+the one expectation that ``expansion_value`` sums, sum_k c_k v_k in
+support order, so a result's verdict is its witness's on the same data;
+``multipartite.ne_multipartite`` gives it c . e and lambda_max.
 
 The bound's ||C||_inf comes from ``spectral_norms``: the coefficients are
 scattered into dense matrices, at positions kept per (dims, support), and
@@ -27,8 +35,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +46,7 @@ from .grids import CorrelatorGrid, pair_label, parse_qubit_label, read_dims, rea
 
 Array = np.ndarray
 
-#: A witness expectation below this threshold counts as a detection.
+#: |<S>| must exceed the separable bound by this fraction of it to detect.
 DETECTION_TOL = 1e-9
 
 VERDICT_ENTANGLED = "entangled"
@@ -185,15 +193,14 @@ def separable_bound(c: CoefficientMatrix) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MirroredWitnessPair:
-    """The pair W+- = bound * identity +- S for one expansion S."""
+    """The pair W+- = bound * identity +- S for one expansion S, whose bound
+    is the expansion's own ``separable_bound``, taken when the pair is built."""
 
-    bound: float
     expansion: CoefficientMatrix
+    bound: float = field(init=False)
 
     def __post_init__(self) -> None:
-        want = separable_bound(self.expansion)
-        if abs(self.bound - want) > 1e-12 * max(1.0, want):
-            raise ValueError("bound does not match the expansion's separable bound")
+        object.__setattr__(self, "bound", separable_bound(self.expansion))
 
     def operator(self, sign: str) -> Array:
         """Dense W+ or W- in the product operator basis."""
@@ -213,7 +220,7 @@ def make_witness_pair(c: CoefficientMatrix) -> MirroredWitnessPair:
     """Mirrored witness pair for a nonzero coefficient matrix."""
     if c.is_zero():
         raise ValueError("zero coefficient matrix admits no witness")
-    return MirroredWitnessPair(separable_bound(c), c)
+    return MirroredWitnessPair(c)
 
 
 @dataclass(frozen=True)
@@ -228,24 +235,17 @@ def evaluate_witness(
 ) -> WitnessEvaluation:
     """Expectation of W+- against measured correlators.
 
-    tr_+- = bound +- sum_ij c_ij g_ij; the verdict is 'entangled' exactly
-    when either expectation falls below -DETECTION_TOL.
+    tr_+- = bound +- sum_ij c_ij g_ij, and the verdict is ``decide`` on
+    that sum and the bound.
     """
     if w.expansion.dims != g.dims:
         raise ValueError(
             f"witness dims {w.expansion.dims} do not match grid dims {g.dims}"
         )
-    total = 0.0
-    for pair, c in zip(w.expansion.support, w.expansion.coeffs):
-        total += c * g.value_at(pair)
-    tr_plus = w.bound + total
-    tr_minus = w.bound - total
-    verdict = (
-        VERDICT_ENTANGLED
-        if min(tr_plus, tr_minus) < -DETECTION_TOL
-        else VERDICT_UNDETECTED
-    )
-    return WitnessEvaluation(tr_plus, tr_minus, verdict)
+    expansion = w.expansion
+    total = expansion_value(expansion.coeffs, map(g.value_at, expansion.support))
+    bound = w.bound
+    return WitnessEvaluation(bound + total, bound - total, decide(total, bound))
 
 
 def witness_report(
@@ -266,9 +266,12 @@ class NEResult:
     """Outcome of a normalized-estimation maximization.
 
     ``value`` is the optimal |sum c_ij g_ij| with the scaled operator norm
-    of the coefficients pinned to the constraint boundary; entanglement is
-    certified exactly when the value exceeds 1, and ``verdict`` says so
-    through ``ne_verdict``.  ``iterations`` and ``gap`` are solver
+    of the coefficients pinned to the constraint boundary, so entanglement
+    is certified where it exceeds 1, the witness's bound.  ``expectation``
+    is that sum as ``expansion_value`` takes it on the grid's data, the
+    expectation ``evaluate_witness`` reads (``value`` where none is given),
+    and ``verdict`` is ``decide`` on it and the bound: the verdict the
+    witness gives on the same grid.  ``iterations`` and ``gap`` are solver
     diagnostics (0 for closed forms).
     """
 
@@ -277,10 +280,17 @@ class NEResult:
     iterations: int = 0
     gap: float = 0.0
     witness: MirroredWitnessPair | None = None
+    expectation: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.expectation is None:
+            object.__setattr__(self, "expectation", self.value)
 
     @property
     def verdict(self) -> str:
-        return ne_verdict(self.value)
+        # the witness's bound: separable_bound of its expansion, these
+        # coefficients
+        return decide(self.expectation, separable_bound(self.coefficients))
 
     @property
     def sign_branch(self) -> str:
@@ -289,12 +299,22 @@ class NEResult:
         return "+"
 
 
-def ne_verdict(value: float) -> str:
-    """'entangled' exactly when the value clears 1 by the detection margin.
+def expansion_value(coeffs: Iterable[float], values: Iterable[float]) -> float:
+    """sum_k c_k v_k, added up in support order: the one expectation of an
+    expansion on data that every bipartite verdict reads."""
+    total = 0.0
+    for c, v in zip(coeffs, values):
+        total += c * v
+    return total
 
-    A normalized estimation ``value`` on boundary-scaled coefficients means
-    the witness pair reaches ``1 - value``, so this is the same margin that
-    ``evaluate_witness`` demands of ``min(tr_plus, tr_minus)``: data on the
-    separable boundary are not certified by roundoff.
+
+def decide(expectation: float, bound: float) -> str:
+    """'entangled' exactly when |expectation| exceeds the separable ``bound``
+    by more than DETECTION_TOL times the bound.
+
+    The margin is relative, so the rule reads the same for a witness of any
+    scale; data on the separable boundary are not certified by roundoff.
     """
-    return VERDICT_ENTANGLED if value > 1.0 + DETECTION_TOL else VERDICT_UNDETECTED
+    if abs(expectation) - bound > DETECTION_TOL * bound:
+        return VERDICT_ENTANGLED
+    return VERDICT_UNDETECTED

@@ -21,7 +21,7 @@ from entcert.grids import CorrelatorGrid, MeasurementSet
 from entcert.multipartite import ObservableSum, spi_lambda_max
 from entcert.qmodel import StateFamilyParams, correlator_grid, make_state
 from entcert.solver import SolverOptions
-from entcert.witness import evaluate_witness, ne_verdict
+from entcert.witness import decide, evaluate_witness
 from nested import ne_monotone_report
 
 _AXES = "XYZ"
@@ -251,7 +251,8 @@ def test_complete_blocks_lie_within_the_barrier_bracket():
         for data, c, gap, (_, closed) in zip(v, paths, gaps, cases):
             barrier = abs(float(data @ solver._polish(data, c, dims, support, t)))
             assert barrier - 1e-12 <= closed.value <= barrier + gap + 1e-12
-            assert closed.verdict == ne_verdict(barrier)
+            # boundary-scaled coefficients: the witness bound is 1
+            assert closed.verdict == decide(barrier, 1.0)
 
 
 def test_orbit_census_and_diagonal_members():

@@ -6,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -572,3 +573,36 @@ def test_verify_full_grid_uses_every_entry(capsys):
     rc, out, _ = _run(capsys, ["verify", "--grid", grid])
     assert rc in (0, 1)
     assert set(json.loads(out)["result"]["coefficients"]) == set(labels)
+
+
+def test_verify_and_witness_read_one_verdict(capsys):
+    # NE = 1 + 1e-9, on the detection margin: the verdict and the witness's
+    # verdict are one rule on one expectation, so the two commands agree
+    grid = '{"dims":[2,2],"correlators":{"XX":0.5,"YY":0.5000000010000001}}'
+    rc_verify, out, _ = _run(capsys, ["verify", "--grid", grid])
+    rc_witness, _, _ = _run(capsys, ["witness", "--grid", grid])
+    result = json.loads(out)["result"]
+    assert result["verdict"] == result["witness"]["verdict"]
+    assert rc_verify == rc_witness == {"entangled": 0, "undetected": 1}[result["verdict"]]
+
+
+def test_a_corner_of_extreme_spread_is_solved(capsys):
+    # corner ZX, row mate ZZ, column mate YX: scaled to a largest entry of
+    # about 1, a^4 - (bc)^2 and a |a| row col both underflow to 0
+    grid = '{"dims":[2,2],"correlators":{"ZZ":1e-22,"YX":-1e-284,"ZX":1e-143}}'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = _run(capsys, ["verify", "--grid", grid])
+    assert rc in (0, 1) and err == ""
+    result = json.loads(out)["result"]
+    coeffs = result["coefficients"]
+    assert all(map(math.isfinite, coeffs.values()))
+    dense = np.zeros((3, 3))
+    for label, c in coeffs.items():
+        dense["XYZ".index(label[0]), "XYZ".index(label[1])] = c
+    assert np.linalg.svd(dense, compute_uv=False)[0] <= 1.0 + 1e-12
+    # the closed form, on the data scaled by a power of two as the solver does
+    a, b, c = (math.ldexp(v, 73) for v in (1e-143, 1e-22, -1e-284))
+    assert abs(b * c) < a * a
+    want = math.sqrt((a * a + b * b) * (a * a + c * c)) / abs(a)
+    assert result["ne"] == math.ldexp(want, -73)

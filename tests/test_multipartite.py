@@ -12,7 +12,7 @@ from entcert import multipartite as mp
 from entcert import solver
 from entcert.grids import CorrelatorGrid, MeasurementSet
 from entcert.qmodel import PAULI, gell_mann_basis
-from entcert.witness import DETECTION_TOL
+from entcert.witness import DETECTION_TOL, decide
 
 AXIS = {"X": 0, "Y": 1, "Z": 2}
 
@@ -584,6 +584,26 @@ def test_ne_skips_starts_whose_inner_search_collapses():
     assert math.isfinite(res.value)
     assert res.value <= 1.0 + DETECTION_TOL
     assert res.verdict == "undetected"
+
+
+def test_ne_verdict_is_decide_on_c_dot_e_with_lambda_max_as_the_bound(monkeypatch):
+    calls = []
+
+    def recorded(expectation, bound):
+        calls.append((expectation, bound))
+        return decide(expectation, bound)
+
+    monkeypatch.setattr(mp, "decide", recorded)
+    for labels, estimates in (
+        (["XXX", "XYY", "YXY", "YYX"], [1.0, -1.0, -1.0, -1.0]),
+        (["ZII", "IZI", "ZZI"], [1.0, 1.0, 1.0]),
+    ):
+        calls.clear()
+        res = mp.ne_multipartite(labels, estimates)
+        expectation = float(np.array(res.coefficients) @ np.array(estimates))
+        assert calls == [(expectation, res.lambda_max)]
+        assert res.verdict == decide(expectation, res.lambda_max)
+        assert res.value == expectation / res.lambda_max
 
 
 def _product_mixture_correlators(rng, words):

@@ -460,3 +460,34 @@ def test_stacked_family_states_are_checked():
     not_hermitian[1, 0, 1] = 1.0
     with pytest.raises(ValueError, match="not Hermitian"):
         qm._check_density(not_hermitian)
+
+
+def test_states_with_nan_entries_are_rejected(monkeypatch):
+    pair = np.eye(4, dtype=complex) / 4
+    pair[0, 1] = pair[1, 0] = np.nan
+    for bad in (np.full((4, 4), np.nan), pair):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qm.DensityMatrix(bad, (2, 2))
+    rho = qm.DensityMatrix(np.eye(4) / 4, (2, 2))
+    object.__setattr__(rho, "matrix", pair)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        qm.depolarize(rho, 0.1)
+    # one NaN pair in one state of a stack fails the stack
+    pure = qm._pure_states
+
+    def spoiled(vectors):
+        states = pure(vectors)
+        states[1, 0, 1] = states[1, 1, 0] = np.nan
+        return states
+
+    monkeypatch.setattr(qm, "_pure_states", spoiled)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        qm.family_states("chi3", [0.1, 0.2, 0.3], 0.1)
+    monkeypatch.undo()
+    # finite states keep their bits
+    thetas = [0.1, 0.2, 0.3]
+    states = qm.family_states("chi3", thetas, 0.1)
+    for theta, state in zip(thetas, states):
+        alone = qm.depolarize(qm.make_state(qm.StateFamilyParams("chi3", theta)), 0.1)
+        assert np.array_equal(alone.matrix, state)
+        assert np.array_equal(qm.DensityMatrix(state, (2, 2)).matrix, state)

@@ -9,7 +9,14 @@ import pytest
 
 from entcert import _linalg, patterns, qmodel, solver
 from entcert.grids import CorrelatorGrid, MeasurementSet
-from entcert.witness import CoefficientMatrix, NEResult
+from entcert.witness import (
+    CoefficientMatrix,
+    NEResult,
+    decide,
+    evaluate_witness,
+    expansion_value,
+    separable_bound,
+)
 from nested import ne_monotone_report
 
 
@@ -1688,3 +1695,86 @@ def test_a_plan_merges_sibling_leaves_into_read_only_groups():
         assert _read_only(value), name
     # no group: nothing to merge
     assert solver._plan((3, 3), support[:2] + support[3:]).merge is None
+
+
+def _boundary_staircases(count):
+    """Random data on the staircase XX, XY, YY, YZ, each rescaled so that its
+    NE is 1 + 1e-9, on the detection margin; as grid values (count, 4)."""
+    rng = np.random.default_rng(0)
+    support = MeasurementSet.parse("XX,XY,YY,YZ").cells
+    raw = rng.uniform(-1.0, 1.0, size=(count, 4))
+    optima = [r.value for r in solver._ne_solve_stack((2, 2), support, raw)]
+    return support, raw * ((1.0 + 1e-9) / np.array(optima))[:, None]
+
+
+def test_every_verdict_is_its_witness_verdict_on_the_detection_margin():
+    # NEResult.verdict and evaluate_witness read one rule on one expectation,
+    # so they agree to the last bit, alone, stacked and in a sweep's rows
+    support, values = _boundary_staircases(3000)
+    grids = [CorrelatorGrid((2, 2), dict(zip(support, row))) for row in values.tolist()]
+    full = np.zeros((len(values), 9))
+    full[:, [3 * i + j for i, j in support]] = values
+    sweep_rows = full[:, [3 * i + j for i, j in support]]
+    runs = {
+        "alone": [solver.ne_solve(g) for g in grids],
+        "stacked": solver.ne_solve_batch(grids),
+        "sweep": solver._ne_solve_stack((2, 2), support, sweep_rows),
+    }
+    verdicts = set()
+    for name, results in runs.items():
+        disagree = 0
+        for grid, res in zip(grids, results):
+            evaluation = evaluate_witness(res.witness, grid)
+            disagree += res.verdict != evaluation.verdict
+            verdicts.add(res.verdict)
+        assert disagree == 0, name
+    # the margin is hit: both verdicts occur
+    assert verdicts == {"entangled", "undetected"}
+
+
+def test_a_result_verdict_is_decide_on_its_witness_expectation_and_bound():
+    for grid in (MAIN, BLOCK, _grid({"XX": 0.5, "YY": 0.5000000010000001})):
+        res = solver.ne_solve(grid)
+        assert res.witness.bound == separable_bound(res.coefficients)
+        assert res.expectation == expansion_value(
+            res.coefficients.coeffs, map(grid.value_at, res.coefficients.support)
+        )
+        assert res.verdict == decide(res.expectation, res.witness.bound)
+
+
+def test_corners_of_extreme_spread_give_finite_coefficients():
+    # scaled to a largest entry in (0.5, 1], a corner with a below ~1e-81
+    # underflows a^4 - (bc)^2 and a |a| row col to 0; only these rows are
+    # taken again, so every other corner keeps the fast form's bits
+    rng = np.random.default_rng(271)
+    count = 400
+    part = rng.uniform(-1.0, 1.0, size=(count, 1, 3))
+    extreme = np.arange(count) % 2 == 0
+    # a tiny, b of unit scale, c tinier still: rank one, |bc| < a^2
+    part[extreme, 0, 0] *= 10.0 ** rng.uniform(-160, -82, size=extreme.sum())
+    part[extreme, 0, 2] = part[extreme, 0, 0] ** 2 * rng.uniform(-0.9, 0.9, size=extreme.sum())
+    part[extreme, 0, 2] *= 10.0 ** rng.uniform(-100, 0, size=extreme.sum())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        optima, coeffs = solver._corners(part)
+    assert np.isfinite(coeffs).all() and np.isfinite(optima).all()
+    a, b, c = part[:, 0].T
+    for k in range(count):
+        dense = np.array([[coeffs[k, 0, 0], coeffs[k, 0, 1]], [coeffs[k, 0, 2], 0.0]])
+        assert np.linalg.svd(dense, compute_uv=False)[0] <= 1.0 + 1e-12, k
+        # against the optimum |<V, C>| the coefficients reach
+        reached = a[k] * dense[0, 0] + b[k] * dense[0, 1] + c[k] * dense[1, 0]
+        assert reached == pytest.approx(optima[k], rel=1e-12), k
+    # the fast form's bits on every other corner, and in a stack as alone
+    plain = ~extreme
+    fast_a, fast_b, fast_c = np.ldexp(
+        part[plain, 0], -solver._unit_shift(np.abs(part[plain, 0]).max(axis=1))[:, None]
+    ).T
+    row, col, size = np.hypot(fast_a, fast_b), np.hypot(fast_a, fast_c), np.abs(fast_a)
+    rank_one = np.abs(fast_b * fast_c) < fast_a * fast_a
+    want = (fast_a**4 - (fast_b * fast_c) ** 2) / (fast_a * size * row * col)
+    assert np.array_equal(coeffs[plain, 0, 0][rank_one], want[rank_one])
+    for k in range(count):
+        alone = solver._corners(part[k : k + 1])
+        assert np.array_equal(alone[0], optima[k : k + 1]), k
+        assert np.array_equal(alone[1], coeffs[k : k + 1]), k

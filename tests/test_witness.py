@@ -8,9 +8,9 @@ from entcert.grids import CorrelatorGrid
 from entcert.witness import (
     CoefficientMatrix,
     MirroredWitnessPair,
+    decide,
     evaluate_witness,
     make_witness_pair,
-    ne_verdict,
     separable_bound,
     spectral_norms,
     witness_report,
@@ -97,10 +97,19 @@ def test_zero_coefficients_admit_no_witness():
         make_witness_pair(c)
 
 
-def test_mirrored_pair_validates_bound():
-    c = _diag_qubit(1.0, 1.0)
-    with pytest.raises(ValueError, match="bound"):
-        MirroredWitnessPair(0.5, c)
+def test_a_pair_takes_its_expansions_own_bound():
+    c = CoefficientMatrix.from_qubit_labels({"XX": 0.3, "ZY": -0.8, "YY": 0.5})
+    pair = MirroredWitnessPair(c)
+    assert pair.bound == separable_bound(c) == make_witness_pair(c).bound
+
+
+def test_decide_is_relative_to_the_bound():
+    for bound in (2.0**-40, 0.125, 1.0, 8.0, 2.0**40):
+        for sign in (1.0, -1.0):
+            assert decide(sign * bound * (1.0 + 2e-9), bound) == "entangled"
+            assert decide(sign * bound * (1.0 + 5e-10), bound) == "undetected"
+            assert decide(sign * bound, bound) == "undetected"
+    assert decide(math.nan, 1.0) == "undetected"
 
 
 def test_evaluate_witness_bell_grid():
@@ -127,14 +136,15 @@ def test_evaluate_witness_missing_correlator():
         evaluate_witness(pair, g)
 
 
-def test_ne_verdict_agrees_with_the_witness_margin():
-    # the boundary-scaled witness for {XX: 1} reaches tr_minus = 1 - value
+def test_decide_agrees_with_the_witness_margin():
+    # the boundary-scaled witness for {XX: 1} has bound 1 and expectation value
     pair = make_witness_pair(CoefficientMatrix.from_qubit_labels({"XX": 1.0}))
+    assert pair.bound == 1.0
     for value in (1.0, 1.0 + 4e-16, 1.0 + 5e-10, 1.0 + 2e-9, 1.04):
         g = CorrelatorGrid.from_labels({"XX": value})
-        assert ne_verdict(value) == evaluate_witness(pair, g).verdict, value
-    assert ne_verdict(1.0 + 4e-16) == "undetected"
-    assert ne_verdict(1.0 + 2e-9) == "entangled"
+        assert decide(value, pair.bound) == evaluate_witness(pair, g).verdict, value
+    assert decide(1.0 + 4e-16, 1.0) == "undetected"
+    assert decide(1.0 + 2e-9, 1.0) == "entangled"
 
 
 def test_verdict_invariant_under_positive_rescaling():
