@@ -206,8 +206,23 @@ class ObservableSum:
         return (self.coefficients[:, None, None] * products).sum(axis=0)
 
     def blocked(self, partition: Sequence[Sequence[int]]) -> "ObservableSum":
-        """Group parties into blocks, each becoming one site via Kronecker."""
-        blocks = [tuple(b) for b in partition]
+        """Group parties into blocks, each becoming one site via Kronecker.
+
+        Each block is a sequence of party indices, and each index is read
+        as ``qmodel`` reads an int: a numpy integer counts, a bool, a float
+        or a string does not.
+        """
+        blocks = []
+        for block in partition:
+            sequence = isinstance(block, Sequence) and not isinstance(block, (str, bytes))
+            if not (sequence or isinstance(block, np.ndarray) and block.ndim == 1):
+                raise ValueError(
+                    f"invalid partition: a block must be a sequence of party indices, "
+                    f"got {block!r}"
+                )
+            blocks.append(
+                tuple(_read_int("partition entry", p, 0, self.parties - 1) for p in block)
+            )
         flat = [p for b in blocks for p in b]
         if sorted(flat) != list(range(self.parties)) or not all(blocks):
             raise ValueError("invalid partition: blocks must cover all parties disjointly")
@@ -373,6 +388,8 @@ class _QubitSite:
         self.reduced = np.einsum("aji,tij->ta", _PAULI_BASIS, factors).real / 2.0
         self.f0 = self.reduced[:, 0].copy()
         self.f = self.reduced[:, 1:].T.copy()
+        # the operator norm |f0_t| + |f_t| of each factor, as held here
+        self.norms = np.abs(self.f0) + np.sqrt(np.einsum("at,at->t", self.f, self.f))
 
     @staticmethod
     def state(vecs: np.ndarray) -> np.ndarray:
@@ -381,21 +398,25 @@ class _QubitSite:
     def expectations(self, r: np.ndarray) -> np.ndarray:
         return self.f0 + r @ self.f
 
-    def update(self, weights: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def update(
+        self, weights: np.ndarray, r: np.ndarray, screen: float = math.inf
+    ) -> np.ndarray:
         """The rule of ``_top_eigenvector`` on g 1 + h . sigma.
 
         The eigenvalues g +- |h| tie when 2|h| is within the degeneracy
         tolerance; the projection of ``r``'s spinor onto the tied C^2 is
         that spinor, so ``r`` stays.  Otherwise the top eigenvector is
-        h / |h|, whatever its overlap with ``r``.
+        h / |h|, whatever its overlap with ``r``.  ``screen`` is the
+        search's ``_tie_screen``: when the smallest 2|h| exceeds it, no row
+        ties and the top eigenvalues are not formed; by default the rule is
+        taken in full, which gives the same rows.
         """
         gh = weights @ self.reduced
         h = gh[:, 1:]
         size = np.sqrt(np.einsum("sa,sa->s", h, h))
-        top = gh[:, 0] + size
-        # every row moves when the smallest |h| clears the largest bound
-        if 2.0 * size.min() > _DEGENERACY_TOL * max(1.0, np.abs(top).max()):
+        if 2.0 * size.min() > screen:
             return h / size[:, None]
+        top = gh[:, 0] + size
         moved = 2.0 * size > _DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
         return np.where(moved[:, None], h / np.where(moved, size, 1.0)[:, None], r)
 
@@ -414,6 +435,9 @@ class _VectorSite:
         t, d, _ = factors.shape
         self.flat = factors.reshape(t, d * d)
         self.side_by_side = factors.transpose(1, 0, 2).reshape(d, t * d)
+        # the Frobenius norm of each factor, which bounds the computed
+        # expectations too: each is at most sum_ij |v_i| |o_ij| |v_j|
+        self.norms = np.linalg.norm(self.flat, axis=1)
 
     @staticmethod
     def state(vecs: np.ndarray) -> np.ndarray:
@@ -424,7 +448,10 @@ class _VectorSite:
         rows = (vecs.conj() @ self.side_by_side).reshape(s, -1, d)
         return (rows @ vecs[:, :, None])[:, :, 0].real
 
-    def update(self, weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    def update(
+        self, weights: np.ndarray, vecs: np.ndarray, screen: float = math.inf
+    ) -> np.ndarray:
+        """The top eigenvector rule; ``screen`` serves qubit sites only."""
         d = vecs.shape[1]
         eff = (weights @ self.flat).reshape(-1, d, d)
         return _top_eigenvector(eff, vecs)
@@ -444,7 +471,9 @@ def _term_values(coeffs: np.ndarray, expectations: Sequence[np.ndarray]) -> np.n
 def _require_unit(vectors: Sequence[np.ndarray]) -> None:
     """Raise unless every row of every array is a unit vector; NaN fails."""
     for v in vectors:
-        norms = np.sqrt(np.einsum("...i,...i->...", v.conj(), v).real)
+        # a real array is its own conjugate: the Bloch stack is read as is
+        w = v.conj() if v.dtype.kind == "c" else v
+        norms = np.sqrt(np.einsum("...i,...i->...", w, v).real)
         if not (np.abs(norms - 1.0) <= _UNIT_TOL).all():
             raise ValueError("product-state factors must be unit vectors")
 
@@ -456,7 +485,28 @@ def _site_class(d: int) -> type:
 
 def _sites(obs: ObservableSum) -> list:
     """One sweep site per party, built from its factor stack."""
-    return [_site_class(f.shape[1])(f) for f in obs.factor_stacks]
+    # a factor norm that overflows turns the tie screen off (_tie_screen)
+    with np.errstate(over="ignore"):
+        return [_site_class(f.shape[1])(f) for f in obs.factor_stacks]
+
+
+def _tie_screen(coeffs: np.ndarray, sites: Sequence) -> float:
+    """``_DEGENERACY_TOL * max(1, 2B)``, B = sum_t |c_t| prod_s ||o_st||.
+
+    Every expectation e_st of a unit vector is at most the factor norm
+    ||o_st|| that its site holds, so at a qubit site each weight is at most
+    |c_t| prod_{s != k} ||o_st|| and each top eigenvalue g + |h| at most B
+    in size; 2B leaves room for rounding.  A smallest 2|h| above the
+    screen thus passes the update's exact test for every row.  A bound
+    that overflows, or is NaN, gives an infinite screen, which no row
+    passes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = sites[0].norms
+        for site in sites[1:]:
+            norms = norms * site.norms
+        bound = 2.0 * float(np.abs(coeffs) @ norms)
+    return _DEGENERACY_TOL * max(1.0, bound) if bound < math.inf else math.inf
 
 
 def _sweep_form(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -512,16 +562,21 @@ def _lockstep_sweeps(
     qubits = [k for k, site in enumerate(sites) if isinstance(site, _QubitSite)]
     others = [k for k in range(len(sites)) if k not in qubits]
     count = states[0].shape[0]
+    screen = _tie_screen(coeffs, sites)
     bloch = np.array([states[k] for k in qubits]).reshape(len(qubits), count, 3)
     vectors = [states[k].copy() for k in others]
     # each site's live states, written in place: a row of ``bloch`` or one
     # of ``vectors``
     held = _per_site(qubits, bloch, others, vectors)
-    out_bloch, out_vectors = bloch.copy(), [x.copy() for x in vectors]
+    # every row is written once, when its start stops or after the last sweep
+    out_bloch, out_vectors = np.empty_like(bloch), [np.empty_like(x) for x in vectors]
     values = np.empty(count)
     converged = np.zeros(count, dtype=bool)
     live = np.arange(count)
     expectations = np.array([site.expectations(x) for site, x in zip(sites, held)])
+    # its rows as a list of views, which the sweep iterates without slicing
+    # the array
+    rows_of = list(expectations)
     value = _term_values(coeffs, expectations)
     for _ in range(_MAX_SWEEPS):
         # c_t prod_{s < k} e_{s,t} over the sites already updated in this
@@ -530,36 +585,39 @@ def _lockstep_sweeps(
         prefix = coeffs
         for k, site in enumerate(sites):
             weights = prefix
-            for e in expectations[k + 1:]:
+            for e in rows_of[k + 1:]:
                 weights = weights * e
             try:
-                held[k][...] = site.update(weights, held[k])
+                held[k][...] = site.update(weights, held[k], screen)
             except np.linalg.LinAlgError:
                 # a NaN row of a site updated earlier in this sweep fails
                 # this eigensolve before the unit check below reads it
                 _require_unit([bloch, *vectors] if qubits else vectors)
                 raise
-            expectations[k] = site.expectations(held[k])
-            prefix = prefix * expectations[k]
+            rows_of[k][...] = site.expectations(held[k])
+            prefix = prefix * rows_of[k]
         _require_unit([bloch, *vectors] if qubits else vectors)
         new_value = prefix.sum(axis=-1)
         done = new_value - value < _SWEEP_TOL
         value = new_value
         if not done.any():
             continue
-        rows = live[done]
-        out_bloch[:, rows] = bloch[:, done]
+        # row indices, since taking them along the start axis of a stack
+        # costs less than a mask does
+        stopped, kept = done.nonzero()[0], (~done).nonzero()[0]
+        rows = live[stopped]
+        out_bloch[:, rows] = bloch.take(stopped, axis=1)
         for x, o in zip(vectors, out_vectors):
-            o[rows] = x[done]
-        values[rows] = value[done]
+            o[rows] = x[stopped]
+        values[rows] = value[stopped]
         converged[rows] = True
-        keep = ~done
-        live, value = live[keep], value[keep]
+        live, value = live[kept], value[kept]
         if live.size == 0:
             break
-        bloch, expectations = bloch[:, keep], expectations[:, keep]
-        vectors = [x[keep] for x in vectors]
+        bloch, expectations = bloch.take(kept, axis=1), expectations.take(kept, axis=1)
+        vectors = [x[kept] for x in vectors]
         held = _per_site(qubits, bloch, others, vectors)
+        rows_of = list(expectations)
     else:
         out_bloch[:, live] = bloch
         for x, o in zip(vectors, out_vectors):
@@ -586,11 +644,15 @@ def _best_start(
     values = np.ldexp(scaled, shift)
     best = int(np.argmax(values))
     top = scaled.max()
+    vectors = [x[best] for x in final]
+    # the qubit sites' Bloch rows, stacked, become spinors in one call
+    qubits = [k for k, site in enumerate(sites) if isinstance(site, _QubitSite)]
+    spinors = _bloch_spinors(np.array([vectors[k] for k in qubits]).reshape(-1, 3))
+    for k, spinor in zip(qubits, spinors):
+        vectors[k] = spinor
     return SPIResult(
         lambda_max=float(values[best]),
-        optimizer=ProductState(
-            [site.vectors(x[best:best + 1])[0] for site, x in zip(sites, final)]
-        ),
+        optimizer=ProductState(vectors),
         restarts_used=len(values),
         converged=bool(converged[best]),
         best_starts=int(np.count_nonzero(top - scaled <= _BEST_TOL * max(1.0, abs(top)))),

@@ -101,8 +101,11 @@ class DensityMatrix:
 
 def _check_density(m: Array) -> None:
     """DensityMatrix's checks, on one matrix or a stack (..., n, n)."""
-    # written so that NaN fails them, and an infinite entry with it
-    if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= _HERM_TOL:
+    # written so that NaN fails them, and an infinite entry with it: its
+    # inf - inf is NaN, quietly here, so it raises the same error as NaN
+    with np.errstate(invalid="ignore"):
+        asymmetry = np.abs(m - m.conj().swapaxes(-1, -2)).max()
+    if not asymmetry <= _HERM_TOL:
         raise ValueError("density matrix is not Hermitian")
     if not np.abs(m.trace(axis1=-2, axis2=-1).real - 1.0).max() <= _TRACE_TOL:
         raise ValueError("density matrix trace is not 1")
@@ -464,4 +467,7 @@ def _depolarized(matrices: Array, p: float) -> Array:
     if not 0.0 <= p <= 1.0:
         raise ValueError("noise probability must lie in [0, 1]")
     dim = matrices.shape[-1]
-    return (1.0 - p) * matrices + p * np.eye(dim) / dim
+    # an infinite entry gives 0 * inf in the complex product: NaN, quietly
+    # here, which the caller's _check_density rejects
+    with np.errstate(invalid="ignore"):
+        return (1.0 - p) * matrices + p * np.eye(dim) / dim

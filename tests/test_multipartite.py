@@ -243,6 +243,42 @@ def test_invalid_partitions():
             mp.k_separable_lambda_max(obs, bad)
 
 
+@pytest.mark.parametrize(
+    "partition, entry",
+    [
+        ([[0, True], [2]], True),
+        ([[0, 1.0], [2]], 1.0),
+        ([[0, 1], [np.float64(2.0)]], np.float64(2.0)),
+        ([[0, 1], [3]], 3),
+        ([[0, 1], [-1]], -1),
+    ],
+)
+def test_partition_entries_are_read_as_ints(partition, entry):
+    obs = mp.ObservableSum.from_pauli_strings([(1.0, "XXX")])
+    with pytest.raises(ValueError, match=r"partition entry must lie in \[0, 2\] as an int") as err:
+        obs.blocked(partition)
+    assert str(err.value).endswith(f"got {entry!r}")
+
+
+@pytest.mark.parametrize("partition, block", [(["01", [2]], "01"), ([[0, 1], 2], 2)])
+def test_partition_blocks_must_be_sequences(partition, block):
+    obs = mp.ObservableSum.from_pauli_strings([(1.0, "XXX")])
+    with pytest.raises(ValueError, match="a block must be a sequence of party indices") as err:
+        obs.blocked(partition)
+    assert str(err.value).endswith(f"got {block!r}")
+
+
+def test_partitions_of_numpy_integers_are_the_int_partitions():
+    obs = mp.ObservableSum.from_pauli_strings([(1.0, "XXZ"), (0.5, "ZYY")])
+    want = obs.blocked([[0, 1], [2]])
+    for partition in (
+        [[np.int64(0), np.int64(1)], [np.int64(2)]],
+        [np.array([0, 1]), (2,)],
+    ):
+        got = obs.blocked(partition)
+        assert [g.tobytes() for g in got.factor_stacks] == [w.tobytes() for w in want.factor_stacks]
+
+
 def test_observable_validation():
     with pytest.raises(ValueError, match="at least one term"):
         mp.ObservableSum([])
@@ -313,8 +349,8 @@ def _sweep_with_a_bad_row(monkeypatch, obs, site, spoil):
     sites = mp._sites(obs)
     update = sites[site].update
 
-    def spoiled(weights, x):
-        out = update(weights, x).copy()
+    def spoiled(weights, x, screen):
+        out = update(weights, x, screen).copy()
         out[len(out) // 2] = spoil(out[len(out) // 2])
         return out
 
@@ -490,6 +526,79 @@ def test_qubit_update_keeps_the_vector_on_a_tied_operator():
     weights = np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [-3.0, 1e-12, -1e-12]])
     r = np.array([[0.0, 0.6, 0.8], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     assert np.array_equal(site.update(weights, r), r)
+
+
+def _random_qubit_site(rng, terms):
+    """A site of random Hermitian factors a0 1 + a . sigma, norms 1e-3..1e3."""
+    factors = np.einsum("ta,aij->tij", rng.standard_normal((terms, 4)), mp._PAULI_BASIS)
+    norms = 10.0 ** rng.uniform(-3.0, 3.0, terms) / np.linalg.norm(factors, 2, axis=(1, 2))
+    return mp._QubitSite(factors * norms[:, None, None])
+
+
+def _h_sizes(site, weights):
+    h = (weights @ site.reduced)[:, 1:]
+    return np.sqrt(np.einsum("sa,sa->s", h, h))
+
+
+def test_the_tie_screen_never_changes_a_qubit_update():
+    # each batch of weights is c_t times expectations of at most 1 in size,
+    # as a sweep's are, with c_t = max |weight| per term; the screen is then
+    # the sweep's, and the screened update must give the exact rule's bits
+    rng = np.random.default_rng(83)
+    tol = mp._DEGENERACY_TOL
+    outcomes = {"random": [], "near": [], "nan": []}
+    for trial in range(600):
+        terms = int(rng.integers(1, 6))
+        site = _random_qubit_site(rng, terms)
+        kind = ("random", "near", "nan")[trial % 3]
+        scales = 2.0 ** rng.uniform(-40.0, 40.0, terms)
+        weights = scales * rng.uniform(-1.0, 1.0, (8, terms))
+        if kind == "near":
+            # rows whose 2|h| is 0.5-2x the tie threshold tol * max(1, |top|):
+            # scaled so that |top| stays below 1, the floor of both tests
+            sizes = _h_sizes(site, weights)
+            weights *= (rng.uniform(0.5, 2.0, 8) * tol / (2.0 * sizes))[:, None]
+            gh = weights @ site.reduced
+            assert (np.abs(gh[:, 0]) + _h_sizes(site, weights) < 1.0).all()
+        elif kind == "nan":
+            weights[int(rng.integers(8)), int(rng.integers(terms))] = np.nan
+        r = rng.standard_normal((8, 3))
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            screen = mp._tie_screen(np.nanmax(np.abs(weights), axis=0), [site])
+        exact = site.update(weights, r)
+        screened = site.update(weights, r, screen)
+        assert screened.tobytes() == exact.tobytes()
+        outcomes[kind].append(bool(2.0 * _h_sizes(site, weights).min() > screen))
+    # the screen both passed and declined on random and near-tie batches,
+    # and never passed a batch with a NaN weight
+    assert 0 < sum(outcomes["random"]) < len(outcomes["random"])
+    assert 0 < sum(outcomes["near"]) < len(outcomes["near"])
+    assert not any(outcomes["nan"])
+
+
+def test_the_tie_screen_is_off_where_its_bound_overflows():
+    huge = mp.ObservableSum([(1.0, [1e200 * PAULI["Z"], 1e200 * PAULI["X"]])])
+    assert mp._tie_screen(huge.coefficients, mp._sites(huge)) == math.inf
+    small = mp.ObservableSum.from_pauli_strings([(0.25, "ZZ"), (-0.5, "XZ")])
+    assert mp._tie_screen(small.coefficients, mp._sites(small)) == mp._DEGENERACY_TOL * 1.5
+
+
+def test_a_sweep_of_unscaled_coefficients_keeps_its_bits():
+    # the coefficients 1e6 are swept as given, so the screen is 4e-4, far
+    # above the floor of 1e-10; values, states and flags of commit c80ae11,
+    # before the screen
+    obs = mp.ObservableSum.from_pauli_strings([(1e6, "ZZ"), (1e6, "XZ")])
+    values, states, converged = mp._lockstep_sweeps(
+        obs.coefficients, mp._sites(obs), mp._sweep_form(mp._starts(obs.dims, 11))
+    )
+
+    def digest(*arrays):
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()[:16]
+
+    assert (digest(values), digest(*states)) == ("5f88ac4bf515a800", "8de86bb5f0789aed")
+    assert converged.all() and len(values) == 44
+    assert values.max().hex() == "0x1.594458ff7aee4p+20"
 
 
 def _reference_sweep(obs, vectors):

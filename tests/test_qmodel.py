@@ -491,3 +491,33 @@ def test_states_with_nan_entries_are_rejected(monkeypatch):
         alone = qm.depolarize(qm.make_state(qm.StateFamilyParams("chi3", theta)), 0.1)
         assert np.array_equal(alone.matrix, state)
         assert np.array_equal(qm.DensityMatrix(state, (2, 2)).matrix, state)
+
+
+def test_states_with_infinite_entries_are_rejected_without_a_warning(monkeypatch):
+    # inf - inf in the Hermitian check is NaN, so an infinite entry fails it
+    # as NaN does, with no "invalid value" warning first (an error here)
+    corner = np.eye(4, dtype=complex) / 4
+    corner[0, 0] = np.inf
+    pair = np.eye(4, dtype=complex) / 4
+    pair[0, 1] = pair[1, 0] = np.inf
+    for bad in (corner, pair):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qm.DensityMatrix(bad, (2, 2))
+        rho = qm.DensityMatrix(np.eye(4) / 4, (2, 2))
+        object.__setattr__(rho, "matrix", bad)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qm.depolarize(rho, 0.1)
+    # one infinite entry in one state of a stack fails the stack
+    pure = qm._pure_states
+    for spoil in ((0, 0), (0, 1)):
+
+        def spoiled(vectors):
+            states = pure(vectors)
+            states[1][spoil] = states[1][spoil[::-1]] = np.inf
+            return states
+
+        monkeypatch.setattr(qm, "_pure_states", spoiled)
+        for noise in (0.0, 0.1):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                qm.family_states("chi3", [0.1, 0.2, 0.3], noise)
+        monkeypatch.undo()
