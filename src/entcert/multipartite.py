@@ -28,8 +28,14 @@ observable.  Qubit sites are swept in Bloch coordinates: a qubit's
 effective operator is g 1 + h . sigma, whose top eigenvector has Bloch
 vector h / |h|, so each update is that closed form over the S starts still
 active, and only the reported start is turned into spinors, at the end of
-the search.  Every other site update is one batched eigensolve over the
-``(S, d, d)`` effective operators, which are formed, like that site's
+the search.  A row whose two eigenvalues tie, 2|h| <= 1e-10 *
+max(1, |g + |h||), keeps its vector, and each search screens that test
+once: B = sum_t |c_t| prod_s ||o_st||, from factor norms each site holds,
+bounds every |g + |h|| of the search, so an update whose smallest 2|h|
+exceeds 1e-10 * max(1, 2B) has no tie and returns h / |h| at once.  Only
+where the screen fails is the exact test taken, so the screen cannot
+change a result.  Every other site update is one batched eigensolve over
+the ``(S, d, d)`` effective operators, which are formed, like that site's
 expectations, by matrix products.  The live starts' per-term expectations
 are held in one ``(n, S, T)`` array and the qubit sites' Bloch vectors in
 one ``(n_q, S, 3)`` array.  So after every sweep one pass checks that each

@@ -564,8 +564,7 @@ def test_the_tie_screen_never_changes_a_qubit_update():
             weights[int(rng.integers(8)), int(rng.integers(terms))] = np.nan
         r = rng.standard_normal((8, 3))
         r /= np.linalg.norm(r, axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            screen = mp._tie_screen(np.nanmax(np.abs(weights), axis=0), [site])
+        screen = mp._tie_screen(np.nanmax(np.abs(weights), axis=0), [site])
         exact = site.update(weights, r)
         screened = site.update(weights, r, screen)
         assert screened.tobytes() == exact.tobytes()
