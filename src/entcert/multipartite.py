@@ -39,11 +39,16 @@ the ``(S, d, d)`` effective operators, which are formed, like that site's
 expectations, by matrix products.  The live starts' per-term expectations
 are held in one ``(n, S, T)`` array and the qubit sites' Bloch vectors in
 one ``(n_q, S, 3)`` array.  So after every sweep one pass checks that each
-qubit row is a unit vector to 1e-12 (NaN fails), one more pass does so for
-each other site, and each array is compacted once when starts stop.  No
-global-optimality claim is attached to the outcome; results carry restart
-counts, the number of starts that reached the best value, and convergence
-flags instead.
+qubit row is a unit vector to 1e-12 (NaN and inf fail), one more pass does
+so for each other site, and each array is compacted once when starts stop.
+A sweep writes in place: each qubit update writes its new Bloch vectors
+into the held rows, and each site's expectations go into its row of the
+``(n, S, T)`` array.  The h . h of the qubit updates and the squared
+norms of the unit check are read through ``_linalg.einsum``, numpy's C
+einsum bound without the wrapper that ``np.einsum`` adds, so a sweep
+costs fewer numpy calls and the same bits.  No global-optimality claim is
+attached to the outcome; results carry restart counts, the number of
+starts that reached the best value, and convergence flags instead.
 
 k-separable relaxations reuse the same iteration with sites grouped into
 blocks: a block behaves as a single site of the product dimension and its
@@ -79,6 +84,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._linalg import einsum
 from .grids import VALUE_CAP
 from .qmodel import PAULI, _read_int, gell_mann_basis
 from .witness import decide
@@ -401,13 +407,15 @@ class _QubitSite:
     def state(vecs: np.ndarray) -> np.ndarray:
         return _site_expectations(_PAULI_BASIS[1:], vecs)
 
-    def expectations(self, r: np.ndarray) -> np.ndarray:
-        return self.f0 + r @ self.f
+    def expectations(self, r: np.ndarray, out: np.ndarray) -> None:
+        """Write f0_t + r . f_t into ``out``; x + f0 rounds as f0 + x does."""
+        np.matmul(r, self.f, out=out)
+        out += self.f0
 
     def update(
         self, weights: np.ndarray, r: np.ndarray, screen: float = math.inf
     ) -> np.ndarray:
-        """The rule of ``_top_eigenvector`` on g 1 + h . sigma.
+        """The rule of ``_top_eigenvector`` on g 1 + h . sigma, written into ``r``.
 
         The eigenvalues g +- |h| tie when 2|h| is within the degeneracy
         tolerance; the projection of ``r``'s spinor onto the tied C^2 is
@@ -415,18 +423,17 @@ class _QubitSite:
         h / |h|, whatever its overlap with ``r``.  ``screen`` is the
         search's ``_tie_screen``: when the smallest 2|h| exceeds it, no row
         ties and the top eigenvalues are not formed; by default the rule is
-        taken in full, which gives the same rows.
+        taken in full, which gives the same rows.  Returns ``r``.
         """
         gh = weights @ self.reduced
         h = gh[:, 1:]
-        size = np.sqrt(np.einsum("sa,sa->s", h, h))
-        if 2.0 * size.min() > screen:
-            return h / size[:, None]
+        size = np.sqrt(einsum("sa,sa->s", h, h))
+        if 2.0 * np.minimum.reduce(size) > screen:
+            return np.divide(h, size[:, None], out=r)
         top = gh[:, 0] + size
         moved = 2.0 * size > _DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
-        return np.where(moved[:, None], h / np.where(moved, size, 1.0)[:, None], r)
-
-    vectors = staticmethod(_bloch_spinors)
+        # a row that ties is not divided, so it keeps its vector
+        return np.divide(h, size[:, None], out=r, where=moved[:, None])
 
 
 class _VectorSite:
@@ -449,10 +456,11 @@ class _VectorSite:
     def state(vecs: np.ndarray) -> np.ndarray:
         return vecs
 
-    def expectations(self, vecs: np.ndarray) -> np.ndarray:
+    def expectations(self, vecs: np.ndarray, out: np.ndarray) -> None:
+        """Write <v|o_t|v> for each row v and term t into ``out``."""
         s, d = vecs.shape
         rows = (vecs.conj() @ self.side_by_side).reshape(s, -1, d)
-        return (rows @ vecs[:, :, None])[:, :, 0].real
+        out[...] = (rows @ vecs[:, :, None])[:, :, 0].real
 
     def update(
         self, weights: np.ndarray, vecs: np.ndarray, screen: float = math.inf
@@ -461,10 +469,6 @@ class _VectorSite:
         d = vecs.shape[1]
         eff = (weights @ self.flat).reshape(-1, d, d)
         return _top_eigenvector(eff, vecs)
-
-    @staticmethod
-    def vectors(vecs: np.ndarray) -> np.ndarray:
-        return vecs
 
 
 def _term_values(coeffs: np.ndarray, expectations: Sequence[np.ndarray]) -> np.ndarray:
@@ -475,12 +479,21 @@ def _term_values(coeffs: np.ndarray, expectations: Sequence[np.ndarray]) -> np.n
 
 
 def _require_unit(vectors: Sequence[np.ndarray]) -> None:
-    """Raise unless every row of every array is a unit vector; NaN fails."""
+    """Raise unless every row v of every array has |‖v‖ - 1| <= _UNIT_TOL.
+
+    NaN or inf fails: the largest |‖v‖ - 1| is NaN if any is, and NaN
+    fails the comparison.
+    """
     for v in vectors:
-        # a real array is its own conjugate: the Bloch stack is read as is
-        w = v.conj() if v.dtype.kind == "c" else v
-        norms = np.sqrt(np.einsum("...i,...i->...", w, v).real)
-        if not (np.abs(norms - 1.0) <= _UNIT_TOL).all():
+        if v.dtype.kind == "c":
+            norms = np.sqrt(einsum("...i,...i->...", v.conj(), v).real)
+        else:
+            # a real array is its own conjugate: the Bloch stack is read as is
+            norms = einsum("...i,...i->...", v, v)
+            np.sqrt(norms, out=norms)
+        norms -= 1.0
+        np.abs(norms, out=norms)
+        if not np.maximum.reduce(norms, axis=None, initial=0.0) <= _UNIT_TOL:
             raise ValueError("product-state factors must be unit vectors")
 
 
@@ -551,8 +564,10 @@ def _lockstep_sweeps(
     (``_sweep_form``): Bloch vectors on qubits (``_QubitSite``), the
     vectors themselves elsewhere (``_VectorSite``).  A site maps states to
     per-term expectations (``expectations``) and term weights to the next
-    states (``update``).  The live starts' expectations are held in one
-    ``(n, S, T)`` array and the qubit sites' Bloch vectors in one
+    states (``update``).  A qubit update writes into the held rows it is
+    given and returns them, and ``expectations`` writes into the site's
+    row of one ``(n, S, T)`` array, which holds the live starts'
+    expectations.  The qubit sites' Bloch vectors are held in one
     ``(n_q, S, 3)`` array, so that each sweep checks every qubit row
     against ``_UNIT_TOL`` in one pass (each other site in one more) and
     compacts each array once; an eigensolve that a NaN row fails before
@@ -579,7 +594,9 @@ def _lockstep_sweeps(
     values = np.empty(count)
     converged = np.zeros(count, dtype=bool)
     live = np.arange(count)
-    expectations = np.array([site.expectations(x) for site, x in zip(sites, held)])
+    expectations = np.empty((len(sites), count, len(coeffs)))
+    for site, x, e in zip(sites, held, expectations):
+        site.expectations(x, e)
     # its rows as a list of views, which the sweep iterates without slicing
     # the array
     rows_of = list(expectations)
@@ -594,16 +611,18 @@ def _lockstep_sweeps(
             for e in rows_of[k + 1:]:
                 weights = weights * e
             try:
+                # a qubit update returns the rows it wrote, held[k] itself,
+                # and assigning an array to itself copies nothing
                 held[k][...] = site.update(weights, held[k], screen)
             except np.linalg.LinAlgError:
                 # a NaN row of a site updated earlier in this sweep fails
                 # this eigensolve before the unit check below reads it
                 _require_unit([bloch, *vectors] if qubits else vectors)
                 raise
-            rows_of[k][...] = site.expectations(held[k])
+            site.expectations(held[k], rows_of[k])
             prefix = prefix * rows_of[k]
         _require_unit([bloch, *vectors] if qubits else vectors)
-        new_value = prefix.sum(axis=-1)
+        new_value = np.add.reduce(prefix, axis=-1)
         done = new_value - value < _SWEEP_TOL
         value = new_value
         if not done.any():

@@ -344,6 +344,38 @@ def test_sweep_unit_check_rejects_nan_rows():
             mp._require_unit([good, rows])
 
 
+@pytest.mark.parametrize("kind", ["bloch", "complex"])
+def test_the_unit_check_holds_its_tolerance_and_fails_nan_and_inf(kind):
+    # a qubit Bloch stack (n_q, S, 3) and a complex stack (S, d), as swept
+    rng = np.random.default_rng(89)
+    if kind == "bloch":
+        good = rng.standard_normal((2, 6, 3))
+        bad_entries = [np.nan, np.inf, -np.inf]
+    else:
+        good = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        bad_entries = [np.nan, complex(0.0, np.nan), np.inf, complex(0.5, -np.inf)]
+    good /= np.linalg.norm(good, axis=-1, keepdims=True)
+    mp._require_unit([good])
+
+    def spoiled(scale=1.0, entry=None):
+        """``good`` with one row, the next to last, scaled or given an entry."""
+        bad = good.copy()
+        row = bad.reshape(-1, bad.shape[-1])[-2]
+        row *= scale
+        if entry is not None:
+            row[1] = entry
+        return bad
+
+    for off in (0.9e-12, -0.9e-12):
+        mp._require_unit([spoiled(1.0 + off)])
+    for off in (1.1e-12, -1.1e-12):
+        with pytest.raises(ValueError, match="unit vectors"):
+            mp._require_unit([spoiled(1.0 + off)])
+    for entry in bad_entries:
+        with pytest.raises(ValueError, match="unit vectors"):
+            mp._require_unit([good, spoiled(entry=entry)])
+
+
 def _sweep_with_a_bad_row(monkeypatch, obs, site, spoil):
     """Sweep with site ``site``'s update spoiling its middle row each time."""
     sites = mp._sites(obs)
@@ -498,7 +530,8 @@ def test_qubit_update_is_the_top_eigenvector_rule():
     h = rng.standard_normal((50, 3))
     r = rng.standard_normal((50, 3))
     r /= np.linalg.norm(r, axis=1, keepdims=True)
-    updated = site.update(h, r)
+    # the update writes into the rows it is given, so it gets a copy of r
+    updated = site.update(h, r.copy())
     assert np.abs(updated - h / np.linalg.norm(h, axis=1, keepdims=True)).max() <= 1e-15
     # the eigensolver path on g 1 + h . sigma lands on the same Bloch vectors
     eff = np.einsum("sa,aij->sij", h, SIGMA)
@@ -525,7 +558,7 @@ def test_qubit_update_keeps_the_vector_on_a_tied_operator():
     site = mp._QubitSite(factors)
     weights = np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [-3.0, 1e-12, -1e-12]])
     r = np.array([[0.0, 0.6, 0.8], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-    assert np.array_equal(site.update(weights, r), r)
+    assert np.array_equal(site.update(weights, r.copy()), r)
 
 
 def _random_qubit_site(rng, terms):
@@ -565,8 +598,9 @@ def test_the_tie_screen_never_changes_a_qubit_update():
         r = rng.standard_normal((8, 3))
         r /= np.linalg.norm(r, axis=1, keepdims=True)
         screen = mp._tie_screen(np.nanmax(np.abs(weights), axis=0), [site])
-        exact = site.update(weights, r)
-        screened = site.update(weights, r, screen)
+        # each update writes into the rows it is given: both start from r
+        exact = site.update(weights, r.copy())
+        screened = site.update(weights, r.copy(), screen)
         assert screened.tobytes() == exact.tobytes()
         outcomes[kind].append(bool(2.0 * _h_sizes(site, weights).min() > screen))
     # the screen both passed and declined on random and near-tie batches,
@@ -615,6 +649,14 @@ def _reference_sweep(obs, vectors):
     return value, False
 
 
+def _as_vectors(sites, states):
+    """Each site's rows as vectors: a qubit site's Bloch rows become spinors."""
+    return [
+        mp._bloch_spinors(x) if isinstance(site, mp._QubitSite) else x
+        for site, x in zip(sites, states)
+    ]
+
+
 def _random_local_observable(rng, ops_per_site, parties, terms=4):
     out = []
     for _ in range(terms):
@@ -650,7 +692,7 @@ def test_lockstep_sweep_equals_one_start_at_a_time(name, obs):
     values, states, converged = mp._lockstep_sweeps(
         obs.coefficients, sites, mp._sweep_form(starts)
     )
-    vectors = [site.vectors(x) for site, x in zip(sites, states)]
+    vectors = _as_vectors(sites, states)
     assert len(values) == 224
     for site in range(obs.parties):
         batched = mp._effective_operator(obs, starts, site)
@@ -763,7 +805,7 @@ def _uncached_search(obs, seed=11):
         np.ldexp(obs.coefficients, -shift), sites, mp._sweep_form(mp._starts(obs.dims, seed))
     )
     values = np.ldexp(scaled, shift)
-    vectors = [site.vectors(x) for site, x in zip(sites, states)]
+    vectors = _as_vectors(sites, states)
     best = int(np.argmax(values))
     return values[best], [v[best] for v in vectors], len(values), converged[best], scaled
 
@@ -1001,6 +1043,107 @@ def test_lockstep_cases_keep_their_values(name, obs):
     else:
         assert res.lambda_max == want
         assert _digest(res.optimizer) == digest
+
+
+# every SPIResult field at commit a7616f5, before the sweep wrote its site
+# states in place and read h . h through entcert._linalg: lambda_max in hex,
+# each optimizer vector as the hex of its real and imaginary parts in order
+# (its bytes), restarts_used, converged and best_starts
+SPI_BITS = {
+    "ZZZ": (
+        "0x1.0000000000000p+0",
+        (
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ),
+        224, True, 64,
+    ),
+    "ghz_stabilizers": (
+        "0x1.8000000000000p+1",
+        (
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ),
+        224, True, 152,
+    ),
+    "mermin": (
+        "0x1.0000000000002p+0",
+        (
+            ("0x1.6a09e667f3bcdp-1", "0x0.0p+0", "-0x1.33b3ffcf24925p-1", "-0x1.7d87037cae2a9p-2"),
+            ("0x1.6a09e667f3bcdp-1", "0x0.0p+0", "-0x1.eb10d8602a633p-2", "-0x1.0a0e3d51d7175p-1"),
+            ("0x1.6a09e667f3bcdp-1", "0x0.0p+0", "0x1.11f9e16c3adcdp-3", "-0x1.63801d5fbeaeep-1"),
+        ),
+        224, True, 168,
+    ),
+    "XYY": (
+        "0x1.0000000000000p+0",
+        (
+            ("0x1.6a09e667f3bcdp-1", "0x0.0p+0", "0x1.6a09e667f3bccp-1", "0x0.0p+0"),
+            ("0x1.6a09e667f3bcdp-1", "0x0.0p+0", "0x0.0p+0", "0x1.6a09e667f3bccp-1"),
+            ("0x1.6a09e667f3bcdp-1", "0x0.0p+0", "0x0.0p+0", "0x1.6a09e667f3bccp-1"),
+        ),
+        224, True, 64,
+    ),
+    "four_qubit": (
+        "0x1.3333333333333p+0",
+        (
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+            ("0x1.6a09e667f3bcdp-1", "0x0.0p+0", "0x1.6a09e667f3bcbp-1", "0x0.0p+0"),
+        ),
+        224, True, 127,
+    ),
+    "mixed": (
+        "0x1.1d9ae272d821fp+0",
+        (
+            ("0x1.6a09e668a445ep-1", "0x0.0p+0", "-0x1.7e1264587c20ap-3", "0x1.5d3603c6b729ap-1"),
+            (
+                "0x1.f542f896648c3p-35", "0x1.5f486a158882bp-37",
+                "-0x1.a20ff00fbd72ap-1", "-0x1.24fa1b0767456p-3",
+                "-0x1.8b578d8d94e19p-4", "0x1.1a10d856fe23ep-1",
+            ),
+            ("0x1.d08c6d9b94293p-1", "0x0.0p+0", "0x0.0p+0", "0x1.ae873c76c6c50p-2"),
+        ),
+        224, True, 6,
+    ),
+    "k_separable": (
+        "0x1.8000000000000p+1",
+        (
+            ("0x1.0000000000000p+0",) + ("0x0.0p+0",) * 7,
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ),
+        224, True, 144,
+    ),
+}
+
+
+def _spi_bits_cases():
+    ghz = mp.ObservableSum.from_pauli_strings([(1.0, w) for w in GHZ_WORDS])
+    pauli = mp.ObservableSum.from_pauli_strings
+    return [
+        ("ZZZ", lambda: mp.spi_lambda_max(pauli([(1.0, "ZZZ")]))),
+        ("ghz_stabilizers", lambda: mp.spi_lambda_max(ghz)),
+        ("mermin", lambda: mp.spi_lambda_max(
+            pauli([(1.0, "XXX"), (-1.0, "XYY"), (-1.0, "YXY"), (-1.0, "YYX")]))),
+        ("XYY", lambda: mp.spi_lambda_max(pauli([(1.0, "XYY")]))),
+        ("four_qubit", lambda: mp.spi_lambda_max(
+            pauli([(1.0, "XXXX"), (0.5, "ZZII"), (0.7, "IZZI"), (-0.3, "YYZZ")]))),
+        ("mixed", lambda: mp.spi_lambda_max(dict(_lockstep_cases())["mixed"])),
+        ("k_separable", lambda: mp.k_separable_lambda_max(ghz, [[0, 1], [2]])),
+    ]
+
+
+@pytest.mark.parametrize("name, search", _spi_bits_cases())
+def test_spi_results_keep_their_bits(name, search):
+    lam, vectors, restarts, converged, best = SPI_BITS[name]
+    res = search()
+    assert res.lambda_max.hex() == lam
+    want = [np.array([float.fromhex(x) for x in v]).view(complex) for v in vectors]
+    assert [v.tobytes() for v in res.optimizer.vectors] == [v.tobytes() for v in want]
+    assert (res.restarts_used, res.converged, res.best_starts) == (restarts, converged, best)
 
 
 # -- ne_multipartite ----------------------------------------------------------------

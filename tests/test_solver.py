@@ -1039,6 +1039,23 @@ def test_bound_gufuncs_give_the_public_bits_or_nan_where_it_raises():
     assert min(outcomes.values()) > 0, outcomes
 
 
+def test_bound_einsum_gives_the_public_bits():
+    # the SPI sweep calls numpy's C einsum without np.einsum's wrapper; the
+    # contractions it makes, on real and complex rows, views among them.  The
+    # binding is imported from numpy._core first: numpy 2 warns on an import
+    # from numpy.core, which pytest's filter on entcert's deprecations fails
+    assert _linalg.einsum.__name__ == "c_einsum"
+    rng = np.random.default_rng(223)
+    for shape in ((1, 3), (8, 3), (20, 4), (3, 20, 3), (2, 5, 9)):
+        real = rng.normal(size=shape)
+        rows = (real + 1j * rng.normal(size=shape), real, real[..., 1:], real * 1e-300)
+        for v in rows:
+            specs = ["...i,...i->..."] + (["sa,sa->s"] if v.ndim == 2 else [])
+            for spec, w in itertools.product(specs, (v.conj(), v)):
+                got, want = _linalg.einsum(spec, w, v), np.einsum(spec, w, v)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (spec, shape)
+
+
 def _failed_svd(a):
     """What an SVD gufunc writes where LAPACK fails: NaN."""
     return np.full(a.shape[:-2] + (min(a.shape[-2:]),), np.nan)
