@@ -9,7 +9,7 @@ with supporting operator algebra (qmodel), a product-state power iteration
 for the multipartite case (multipartite), and a command-line front end
 (cli).  numpy does all the linear algebra; where its public wrappers cost
 more than the arithmetic, the private ``_linalg`` module binds the LAPACK
-gufuncs behind them.  The leftover ``smallmat`` module is imported by no
+gufuncs and the C einsum behind them.  The leftover ``smallmat`` module is imported by no
 other module and is kept only for the benchmark tracer.
 """
 

@@ -485,12 +485,9 @@ def _require_unit(vectors: Sequence[np.ndarray]) -> None:
     fails the comparison.
     """
     for v in vectors:
-        if v.dtype.kind == "c":
-            norms = np.sqrt(einsum("...i,...i->...", v.conj(), v).real)
-        else:
-            # a real array is its own conjugate: the Bloch stack is read as is
-            norms = einsum("...i,...i->...", v, v)
-            np.sqrt(norms, out=norms)
+        # a real array is its own conjugate: the Bloch stack is read as is
+        w = v.conj() if v.dtype.kind == "c" else v
+        norms = np.sqrt(einsum("...i,...i->...", w, v).real)
         norms -= 1.0
         np.abs(norms, out=norms)
         if not np.maximum.reduce(norms, axis=None, initial=0.0) <= _UNIT_TOL:
